@@ -4,7 +4,8 @@ Layers, bottom up:
 
 - ``combinat``: injections, their factorizations, and partial-bijection posets;
 - ``exactla``: exact linear algebra over the rationals and integers
-  (fraction-free elimination, Smith normal form, chain-complex homology);
+  (one sparse rational elimination core, Smith normal form, chain-complex
+  homology);
 - ``symrep``: symmetric-group characters, Specht modules, Kostka numbers,
   padded partitions, and the stable multiplicity counts;
 - ``fimod``: the module calculus itself — truncations, polynomiality,

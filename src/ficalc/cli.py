@@ -4,8 +4,7 @@ Exit statuses: 0 on success, 1 on domain errors (invalid module contents,
 non-stabilization, a certified claim failing), 2 on usage errors (bad or
 out-of-guard parameters, missing files).  Output is JSON by default, with
 markdown and CSV renderings of the same tables; identical inputs always
-produce byte-identical output.  The environment variable ``FI_CALC_THREADS``
-(a positive integer) caps the worker count used for independent report cells.
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,14 +14,12 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import build_poset, poset_size_formula
-from .exactla import invariant_factors, rank, smith_normal_form, Matrix
+from .exactla import CrossCheckError, invariant_factors, rank, smith_normal_form, Matrix
 from .fimod import (
     DictionaryInapplicableError,
     InstabilityError,
@@ -166,19 +163,6 @@ def _guard(args, **named) -> None:
                 f"--{name} {value} exceeds the default guard {limit}; "
                 "pass --allow-large to override"
             )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FI_CALC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"FI_CALC_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"FI_CALC_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _decomposition_payload(decomposition):
@@ -719,11 +703,11 @@ _REPORT_SECTIONS = (
 )
 
 
-def full_report(n_max: int, k_max: int, threads: int = 1):
+def full_report(n_max: int, k_max: int):
     """Run every report section at the given scale.
 
-    Returns ``(doc, tables, all_passed)``; cells are independent and may be
-    evaluated by up to ``threads`` workers, with deterministic assembly.
+    Returns ``(doc, tables, all_passed)``; cells are independent and are
+    evaluated in order.
     """
     sections = []
     for title, builder in _REPORT_SECTIONS:
@@ -735,29 +719,14 @@ def full_report(n_max: int, k_max: int, threads: int = 1):
         except Exception as exc:  # a crashing cell is a failing cell
             return False, f"{type(exc).__name__}: {exc}"
 
-    flat = [
-        (si, ci, cell)
-        for si, (_, cells) in enumerate(sections)
-        for ci, (_, cell) in enumerate(cells)
-    ]
-    results = {}
-    if threads > 1 and len(flat) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(si, ci): pool.submit(run, cell) for si, ci, cell in flat}
-        for key, future in futures.items():
-            results[key] = future.result()
-    else:
-        for si, ci, cell in flat:
-            results[(si, ci)] = run(cell)
-
     doc_sections = []
     tables = []
     all_passed = True
     for si, (title, cells) in enumerate(sections):
         rows = []
         cell_docs = []
-        for ci, (label, _) in enumerate(cells):
-            passed, detail = results[(si, ci)]
+        for label, cell in cells:
+            passed, detail = run(cell)
             all_passed = all_passed and passed
             rows.append((label, "PASS" if passed else "FAIL", detail))
             cell_docs.append({"cell": label, "passed": passed, "detail": detail})
@@ -780,7 +749,7 @@ def full_report(n_max: int, k_max: int, threads: int = 1):
 
 def _cmd_report(args):
     _guard(args, n_max=(args.n_max, GUARD_N), k_max=(args.k_max, GUARD_K))
-    doc, tables, all_passed = full_report(args.n_max, args.k_max, _thread_count())
+    doc, tables, all_passed = full_report(args.n_max, args.k_max)
     verdict = "PASS" if all_passed else "FAIL"
     tables.append(Table("overall", ("status",), [(verdict,)]))
     heading = f"report at n_max={args.n_max}, k_max={args.k_max}: {verdict}"
@@ -882,6 +851,7 @@ _DOMAIN_ERRORS = (
     InstabilityError,
     DictionaryInapplicableError,
     TheoremViolationError,
+    CrossCheckError,
 )
 _RANGE_ERRORS = (StableRangeError, WindowError)
 
@@ -890,7 +860,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
-        _thread_count()  # reject malformed FI_CALC_THREADS up front
         doc, heading, tables, code = args.handler(args)
         _emit(args, _render(args.format, doc, heading, tables))
         return code

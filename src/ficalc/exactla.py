@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is exact: entries are python ints or ``fractions.Fraction``,
-never floats.  Dense matrices are small row-tuples aimed at desk-scale
-problems; the sparse column format and the incremental reducer exist for the
-larger, very sparse systems produced by the module calculus (permutation
-actions, chain complexes of posets).
+never floats.  Dense matrices are small row-tuples that carry data in and out
+of the public functions; the sparse column format carries the larger, very
+sparse systems produced by the module calculus (permutation actions, chain
+complexes of posets).
+
+All rational elimination runs on one engine, ``VectorReducer``, whose rows
+are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
+``cokernel``, ``solve_columns`` and ``RationalComplexHomology`` read their
+answers off it.  Integer work (Smith normal form, torsion) runs on
+``_SnfWorker``; ``determinant`` uses integer Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -24,6 +30,13 @@ class ComplexInvalidError(ValueError):
     def __init__(self, degree: int, message: str | None = None):
         self.degree = degree
         super().__init__(message or f"d . d != 0 entering degree {degree}")
+
+
+class CrossCheckError(RuntimeError):
+    """Raised when two independent computations of the same quantity disagree.
+
+    This signals a bug in the library, not bad input.
+    """
 
 
 def _coerce(x) -> Fraction:
@@ -160,71 +173,8 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# dense elimination
+# determinant (integer Bareiss elimination)
 # ---------------------------------------------------------------------------
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [_coerce(x) / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank(a: Matrix) -> int:
-    """Rank over Q, by fraction-free (Bareiss-style) elimination.
-
-    Rows are cleared to integers first; the elimination then stays in Z,
-    which keeps intermediate entries small compared to naive Fraction
-    pivoting.
-    """
-    rows = []
-    for r in a.data:
-        lcm = 1
-        for x in r:
-            if x.denominator != 1:
-                g = _gcd(lcm, x.denominator)
-                lcm = lcm // g * x.denominator
-        rows.append([int(x * lcm) for x in r])
-    m, n = len(rows), a.cols
-    rk = 0
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            if any(rows[i]):
-                fi = rows[i][c]
-                rows[i] = [(piv * rows[i][j] - fi * rows[r][j]) // prev for j in range(n)]
-        prev = piv
-        rk += 1
-        r += 1
-    return rk
 
 
 def _gcd(a: int, b: int) -> int:
@@ -264,84 +214,6 @@ def determinant(a: Matrix) -> Fraction:
             rows[i] = [(piv * rows[i][j] - rows[i][c] * rows[c][j]) // prev for j in range(n)]
         prev = piv
     return Fraction(sign * rows[n - 1][n - 1], 1) / denom
-
-
-def kernel_basis(a: Matrix) -> Matrix:
-    """Basis of the right kernel, as columns; deterministic (RREF back-fill)."""
-    rows = [list(r) for r in a.data]
-    rows, pivots = _rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivset]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        cols.append(v)
-    return Matrix(a.cols, len(free), [v[i] for i in range(a.cols) for v in cols])
-
-
-def cokernel(a: Matrix) -> tuple[int, Matrix]:
-    """Cokernel of ``a`` as (dimension, projection matrix).
-
-    The projection has full row rank, kills the image of ``a``, and its
-    restriction to the chosen complement is the identity.  The complement is
-    the lexicographically first maximal set of standard basis vectors that is
-    independent modulo the image.
-    """
-    img = _column_space_reducer(a)
-    chosen: list[int] = []
-    probe = VectorReducer()
-    for piv, row in img.rows():
-        probe.insert(dict(row))
-    for j in range(a.rows):
-        if probe.insert({j: Fraction(1)}) is not None:
-            chosen.append(j)
-    q = len(chosen)
-    # express each standard basis vector in the chosen complement, modulo im(a)
-    # solve [image_basis | e_chosen] x = e_j  and read off the chosen part
-    basis_cols = [dict(row) for _, row in img.rows()]
-    for j in chosen:
-        basis_cols.append({j: Fraction(1)})
-    ncols = len(basis_cols)
-    dense = [[Fraction(0)] * (ncols + a.rows) for _ in range(a.rows)]
-    for cidx, col in enumerate(basis_cols):
-        for r, v in col.items():
-            dense[r][cidx] = v
-    for j in range(a.rows):
-        dense[j][ncols + j] = Fraction(1)
-    dense, pivots = _rref(dense)
-    # pivots must be exactly the first ncols columns (basis_cols independent, spanning)
-    proj = [[Fraction(0)] * a.rows for _ in range(q)]
-    for r, p in enumerate(pivots):
-        if p >= ncols:
-            break
-        if p >= ncols - q:  # a chosen-complement column
-            ci = p - (ncols - q)
-            for j in range(a.rows):
-                proj[ci][j] = dense[r][ncols + j]
-    return q, Matrix.from_rows(proj, a.rows)
-
-
-def solve_columns(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b column-wise; raises ValueError if inconsistent."""
-    if a.rows != b.rows:
-        raise ShapeMismatchError("solve shape mismatch")
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    if a.rows == 0:
-        aug = []
-    aug, pivots = _rref(aug)
-    for r in range(len(pivots), a.rows):
-        if any(aug[r][a.cols :]):
-            raise ValueError("inconsistent linear system")
-    if any(p >= a.cols for p in pivots):
-        raise ValueError("inconsistent linear system")
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = aug[r][a.cols + j]
-    return Matrix.from_rows(x, b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +302,10 @@ class VectorReducer:
 
     Rows are kept normalized (pivot entry 1) and mutually reduced, so
     ``reduce`` of any vector leaves a remainder supported away from all
-    pivots.  Pivot of a new row is its smallest coordinate, which makes the
-    result deterministic and independent of dict ordering.
+    pivots.  Pivot of a new row is its smallest coordinate, and no row has
+    support below its pivot, so the rows sorted by pivot are exactly the
+    reduced row echelon form of the span: deterministic and independent of
+    insertion order and dict ordering.
     """
 
     def __init__(self):
@@ -450,24 +324,22 @@ class VectorReducer:
             yield p, self._rows[p]
 
     def reduce(self, vec: SparseVec) -> SparseVec:
+        """The remainder of ``vec`` modulo the span, zero at every pivot.
+
+        Rows are mutually reduced, so one subtraction per pivot coordinate of
+        ``vec`` clears it and no later subtraction refills it.
+        """
         v = dict(vec)
-        while True:
-            hit = None
-            for c in v:
-                if c in self._rows:
-                    hit = c
-                    break
-            if hit is None:
-                return v
-            coeff = v[hit]
-            row = self._rows[hit]
-            for i, x in row.items():
+        rows = self._rows
+        for p in [c for c in vec if c in rows]:
+            coeff = vec[p]
+            for i, x in rows[p].items():
                 y = v.get(i, 0) - coeff * x
                 if y:
                     v[i] = y
                 else:
                     v.pop(i, None)
-        # unreachable
+        return v
 
     def insert(self, vec: SparseVec) -> int | None:
         """Insert a vector; returns the new pivot, or None if dependent."""
@@ -508,11 +380,101 @@ class VectorReducer:
 
 
 def sparse_rank(a: SparseMatrix) -> int:
+    return _span(a.columns).rank
+
+
+def _span(vectors: Iterable[SparseVec]) -> VectorReducer:
     red = VectorReducer()
-    for col in a.columns:
-        if col:
-            red.insert(col)
-    return red.rank
+    for v in vectors:
+        if v:
+            red.insert(v)
+    return red
+
+
+def _sparse_rows(a: Matrix) -> list[SparseVec]:
+    return [{j: x for j, x in enumerate(r) if x} for r in a.data]
+
+
+def _tagged_insert(red: VectorReducer, vec: SparseVec, space: int, tag: int) -> SparseVec | None:
+    """Add ``vec`` to the span with the tag coordinate ``tag`` >= ``space`` set
+    to 1, unless it already lies in the span's part below ``space``.
+
+    Returns None when added.  Otherwise returns the remainder of ``vec``:
+    zero below ``space``, and its tag entries, negated, are the coefficients
+    of the tagged vectors in ``vec`` (modulo the untagged ones).
+    """
+    rem = red.reduce(vec)
+    if rem and min(rem) < space:
+        rem[tag] = Fraction(1)
+        red.insert(rem)
+        return None
+    return rem
+
+
+# ---------------------------------------------------------------------------
+# rational solves, all read off the reduced row echelon form of a reducer
+# ---------------------------------------------------------------------------
+
+
+def rank(a: Matrix) -> int:
+    """Rank over Q."""
+    return _span(_sparse_rows(a)).rank
+
+
+def kernel_basis(a: Matrix) -> Matrix:
+    """Basis of the right kernel, as columns; deterministic (RREF back-fill)."""
+    red = _span(_sparse_rows(a))
+    pivots = set(red.pivots())
+    free = [c for c in range(a.cols) if c not in pivots]
+    index = {f: k for k, f in enumerate(free)}
+    entries = [Fraction(0)] * (a.cols * len(free))
+    for f, k in index.items():
+        entries[f * len(free) + k] = Fraction(1)
+    for p, row in red.rows():
+        for f, x in row.items():
+            if f != p:
+                entries[p * len(free) + index[f]] = -x
+    return Matrix(a.cols, len(free), entries)
+
+
+def cokernel(a: Matrix) -> tuple[int, Matrix]:
+    """Cokernel of ``a`` as (dimension, projection matrix).
+
+    The projection has full row rank, kills the image of ``a``, and its
+    restriction to the chosen complement is the identity.  The complement is
+    the lexicographically first maximal set of standard basis vectors that is
+    independent modulo the image.
+    """
+    red = _span(SparseMatrix.from_matrix(a).columns)
+    q = 0
+    columns: list[SparseVec] = []  # column j: e_j in the chosen complement
+    for j in range(a.rows):
+        rem = _tagged_insert(red, {j: Fraction(1)}, a.rows, a.rows + q)
+        if rem is None:
+            columns.append({q: Fraction(1)})
+            q += 1
+        else:
+            columns.append({t - a.rows: -x for t, x in rem.items()})
+    return q, SparseMatrix(q, a.rows, columns).to_matrix()
+
+
+def solve_columns(a: Matrix, b: Matrix) -> Matrix:
+    """Solve a @ x = b column-wise; raises ValueError if inconsistent.
+
+    Free variables are set to zero, so the solution is read off the reduced
+    row echelon form of the augmented rows [a | b].
+    """
+    if a.rows != b.rows:
+        raise ShapeMismatchError("solve shape mismatch")
+    red = _span(_sparse_rows(a.hstack(b)))
+    x = SparseMatrix(a.cols, b.cols)
+    for p, row in red.rows():
+        if p >= a.cols:
+            raise ValueError("inconsistent linear system")
+        for j, v in row.items():
+            if j >= a.cols:
+                x.columns[j - a.cols][p] = v
+    return x.to_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -816,95 +778,60 @@ def homology(c: ChainComplex, integral: bool = False, representatives: bool = Fa
     # Euler characteristic invariant: alternating sums agree
     lhs = sum((-1) ** i * c.dims[i] for i in range(n))
     rhs = sum((-1) ** i * result.betti[i] for i in range(n))
-    assert lhs == rhs, "Euler characteristic mismatch - elimination bug"
+    if lhs != rhs:
+        raise CrossCheckError(f"Euler characteristic mismatch: chains {lhs}, homology {rhs}")
     return result
 
 
 class RationalComplexHomology:
     """Rational homology with representative cycles and coordinate solving.
 
-    For each degree: a cycle basis, the boundary image basis, homology
-    representatives chosen greedily among the cycle basis, and an ``express``
-    map writing any cycle in homology coordinates (raising ``ValueError`` if
-    the vector is not a cycle modulo boundaries).
+    For each degree: a cycle basis (the kernel of the outgoing differential),
+    homology representatives chosen greedily among it, and one reducer
+    spanning the boundaries (inserted plain) and the representatives, each
+    inserted with its own tag coordinate placed after the chain space.  So
+    ``express`` is a single ``reduce``: the remainder of a cycle has no chain
+    coordinates left and its negated tag entries are the homology
+    coordinates (a remainder with chain coordinates left means the vector is
+    not a cycle modulo boundaries, and raises ``ValueError``).
     """
 
     def __init__(self, c: ChainComplex):
         self.complex = c
         n = len(c.dims)
-        self._reps: list[list[list[Fraction]]] = []
-        self._solvers: list = []
+        self.rep_vectors: list[list[SparseVec]] = []  # sparse cycle representatives
+        self._reducers: list[VectorReducer] = []
         for i in range(n):
-            # cycles: kernel of the outgoing differential (degree i -> i-1)
+            d = c.dims[i]
             if i > 0:
-                z = kernel_basis(c.differentials[i - 1])
-                zcols = [z.column(j) for j in range(z.cols)]
+                cycles = SparseMatrix.from_matrix(kernel_basis(c.differentials[i - 1])).columns
             else:
-                zcols = [
-                    tuple(Fraction(1) if t == j else Fraction(0) for t in range(c.dims[i]))
-                    for j in range(c.dims[i])
-                ]
-            # boundaries: independent columns of the incoming differential
-            bred = VectorReducer()
-            bcols = []
-            if i < n - 1:
-                d = c.differentials[i]
-                for j in range(d.cols):
-                    col = {r: d.data[r][j] for r in range(d.rows) if d.data[r][j]}
-                    if col and bred.insert(col) is not None:
-                        bcols.append(d.column(j))
-            # homology representatives: cycle columns independent mod boundaries
-            hred = VectorReducer()
-            for b in bcols:
-                hred.insert({r: x for r, x in enumerate(b) if x})
-            reps = []
-            for zc in zcols:
-                if hred.insert({r: x for r, x in enumerate(zc) if x}) is not None:
-                    reps.append(list(zc))
-            self._reps.append(reps)
-            self._solvers.append((bcols, reps, None))
+                cycles = [{j: Fraction(1)} for j in range(d)]
+            red = _span(SparseMatrix.from_matrix(c.differentials[i]).columns if i < n - 1 else ())
+            reps: list[SparseVec] = []
+            for z in cycles:
+                if _tagged_insert(red, z, d, d + len(reps)) is None:
+                    reps.append(z)
+            self.rep_vectors.append(reps)
+            self._reducers.append(red)
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self._reps)
+        return tuple(len(r) for r in self.rep_vectors)
 
     def representatives(self, degree: int) -> Matrix:
-        reps = self._reps[degree]
-        d = self.complex.dims[degree]
-        return Matrix(d, len(reps), [reps[j][i] for i in range(d) for j in range(len(reps))])
+        reps = self.rep_vectors[degree]
+        return SparseMatrix(self.complex.dims[degree], len(reps), reps).to_matrix()
 
-    def _solver(self, degree: int):
-        bcols, reps, cached = self._solvers[degree]
-        if cached is not None:
-            return cached
+    def express(self, degree: int, vec: Sequence[Fraction] | SparseVec) -> list[Fraction]:
+        """Coordinates of a cycle (dense, or sparse as a dict) in the homology
+        basis of the given degree."""
+        if not isinstance(vec, dict):
+            vec = {i: x for i, x in enumerate(vec) if x}
         d = self.complex.dims[degree]
-        cols = [list(b) for b in bcols] + [list(r) for r in reps]
-        m = len(cols)
-        aug = [[Fraction(0)] * (m + d) for _ in range(d)]
-        for j, col in enumerate(cols):
-            for i in range(d):
-                aug[i][j] = col[i]
-        for i in range(d):
-            aug[i][m + i] = Fraction(1)
-        aug, pivots = _rref(aug)
-        solver = (aug, pivots, len(bcols), m, d)
-        self._solvers[degree] = (bcols, reps, solver)
-        return solver
-
-    def express(self, degree: int, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Coordinates of a cycle in the homology basis of the given degree."""
-        aug, pivots, nb, m, d = self._solver(degree)
-        coords = [Fraction(0)] * m
-        for r, p in enumerate(pivots):
-            if p >= m:
-                continue
-            coords[p] = sum(aug[r][m + i] * vec[i] for i in range(d) if vec[i])
-        # consistency: rows with pivot beyond the column block must annihilate vec
-        for r, p in enumerate(pivots):
-            if p >= m:
-                if sum(aug[r][m + i] * vec[i] for i in range(d) if vec[i]) != 0:
-                    raise ValueError("vector is not a cycle modulo boundaries")
-        # verify reconstruction (cheap and catches non-cycles when rref lacks extra rows)
-        return coords[nb:]
+        rem = self._reducers[degree].reduce(vec)
+        if rem and min(rem) < d:
+            raise ValueError("vector is not a cycle modulo boundaries")
+        return [-rem.get(d + j, Fraction(0)) for j in range(len(self.rep_vectors[degree]))]
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +881,3 @@ def poset_colimit(
         maps.append(Matrix(dim, d, entries))
     return PosetColimit(dim, tuple(maps))
 
-
-def _column_space_reducer(a: Matrix) -> VectorReducer:
-    red = VectorReducer()
-    for j in range(a.cols):
-        col = {i: a.data[i][j] for i in range(a.rows) if a.data[i][j]}
-        if col:
-            red.insert(col)
-    return red

@@ -35,6 +35,7 @@ from ..exactla import (
     ChainComplex,
     Matrix,
     RationalComplexHomology,
+    SparseMatrix,
     VectorReducer,
     rank,
     vec_add,
@@ -75,16 +76,6 @@ def _quotient(module: FIModule, s: int, k: int) -> CoinvariantQuotient:
         q = CoinvariantQuotient(module, s, k)
         module._coinv_cache[key] = q
     return q
-
-
-def _matvec(a: Matrix, v) -> list:
-    out = [Fraction(0)] * a.rows
-    for j, x in enumerate(v):
-        if x:
-            for i in range(a.rows):
-                if a.data[i][j]:
-                    out[i] += a.data[i][j] * x
-    return out
 
 
 def _insertion(subset: tuple[int, ...], x: int, k: int) -> Injection:
@@ -165,12 +156,11 @@ class CubeStage:
         self.homology = RationalComplexHomology(self.complex)
 
     # -- symmetric-group action on the cube coordinates ------------------
-    def action_matrix(self, perm: tuple[int, ...], degree: int) -> Matrix:
+    def action_matrix(self, perm: tuple[int, ...], degree: int) -> SparseMatrix:
         """Matrix of the cube-coordinate permutation on the degree-th term."""
         if len(perm) != self.cube:
             raise ValueError("permutation must act on the cube coordinates")
-        n = self.dims[degree]
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        act = SparseMatrix(self.dims[degree], self.dims[degree])
         for subset in self.summands[degree]:
             s = len(subset)
             q = self.quotients[s]
@@ -183,48 +173,45 @@ class CubeStage:
             tgt_off = self.offsets[degree][image]
             for local, b in enumerate(q.free):
                 w = self.module.apply_permutation(s + self.k, values, {b: 1})
-                for li, v in q.project(w).items():
-                    rows[tgt_off + li][src_off + local] += sign * v
-        return Matrix.from_rows(rows, n)
+                act.columns[src_off + local] = {
+                    tgt_off + li: sign * v for li, v in q.project(w).items()
+                }
+        return act
 
     def homology_trace(self, perm: tuple[int, ...], degree: int) -> Fraction:
         if not self.homology.dims()[degree]:
             return Fraction(0)
-        reps = self.homology.representatives(degree)
         act = self.action_matrix(perm, degree)
         total = Fraction(0)
-        for j in range(reps.cols):
-            image = _matvec(act, reps.column(j))
-            total += self.homology.express(degree, image)[j]
+        for j, rep in enumerate(self.homology.rep_vectors[degree]):
+            total += self.homology.express(degree, act.apply(rep))[j]
         return total
 
-    def transition_to(self, other: "CubeStage") -> Matrix:
+    def transition_to(self, other: "CubeStage") -> SparseMatrix:
         """Quotient-coordinate matrix of the standard inclusion on degree 0."""
         if other.cube != self.cube or other.k != self.k + 1:
             raise ValueError("transition target must be the next stage")
         inc = standard_inclusion(self.cube + self.k, self.cube + self.k + 1)
         src_q = self.quotients[self.cube]
         tgt_q = other.quotients[self.cube]
-        rows = [[Fraction(0)] * src_q.dim for _ in range(tgt_q.dim)]
-        for local, b in enumerate(src_q.free):
-            w = self.module.apply_injection(inc, {b: 1})
-            for li, v in tgt_q.project(w).items():
-                rows[li][local] += v
-        return Matrix.from_rows(rows, src_q.dim)
+        columns = [
+            tgt_q.project(self.module.apply_injection(inc, {b: 1})) for b in src_q.free
+        ]
+        return SparseMatrix(tgt_q.dim, src_q.dim, columns)
+
+
+def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> Matrix:
+    """Degree-0 homology matrix of a quotient-level map ``t`` from ``src`` to
+    ``tgt``, in their homology bases."""
+    cols = [tgt.homology.express(0, t.apply(rep)) for rep in src.homology.rep_vectors[0]]
+    return Matrix.from_rows(
+        [[col[i] for col in cols] for i in range(tgt.homology.dims()[0])], len(cols)
+    )
 
 
 def _homology_basis_map(stage: CubeStage, nxt: CubeStage) -> Matrix:
     """Degree-0 homology matrix of the standard-inclusion transition."""
-    t = stage.transition_to(nxt)
-    h_src = stage.homology.dims()[0]
-    h_tgt = nxt.homology.dims()[0]
-    reps = stage.homology.representatives(0)
-    cols = [
-        nxt.homology.express(0, _matvec(t, reps.column(j))) for j in range(reps.cols)
-    ]
-    return Matrix.from_rows(
-        [[cols[j][i] for j in range(h_src)] for i in range(h_tgt)], h_src
-    )
+    return _homology_map(stage.transition_to(nxt), stage, nxt)
 
 
 def _transition_is_iso(stage: CubeStage, nxt: CubeStage) -> bool:
@@ -349,7 +336,7 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
 
 def _sum_over_extensions(
     module: FIModule, f: Injection, k: int
-) -> tuple[CubeStage, CubeStage, Matrix]:
+) -> tuple[CubeStage, CubeStage, SparseMatrix]:
     """Quotient-level matrix of the extension-sum map at stage k.
 
     For g = f + j over all injections j from the complement of the image of f
@@ -362,7 +349,7 @@ def _sum_over_extensions(
     src_q = src.quotients[n]
     tgt_q = tgt.quotients[m]
     missing = [x for x in range(m) if x not in f.image]
-    rows = [[Fraction(0)] * src_q.dim for _ in range(tgt_q.dim)]
+    ext = SparseMatrix(tgt_q.dim, src_q.dim)
     for j_values in itertools.permutations(range(k), len(missing)):
         lookup = {a: missing[t] for t, a in enumerate(j_values)}
         values = tuple(f.values) + tuple(
@@ -371,9 +358,8 @@ def _sum_over_extensions(
         big = Injection(n + k, m + k, values)
         for local, b in enumerate(src_q.free):
             w = module.apply_injection(big, {b: 1})
-            for li, v in tgt_q.project(w).items():
-                rows[li][local] += v
-    return src, tgt, Matrix.from_rows(rows, src_q.dim)
+            ext.columns[local] = vec_add(ext.columns[local], tgt_q.project(w))
+    return src, tgt, ext
 
 
 def _transition_at_stage(module: FIModule, f: Injection, k: int):
@@ -381,19 +367,12 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int):
     boundary-preservation check."""
     src, tgt, t = _sum_over_extensions(module, f, k)
     for col in _boundary_columns(src):
-        coords = tgt.homology.express(0, _matvec(t, col))
+        coords = tgt.homology.express(0, t.apply(col))
         if any(coords):
             raise InstabilityError(
                 "extension-sum map does not carry boundaries to boundaries"
             )
-    h_src = src.homology.dims()[0]
-    h_tgt = tgt.homology.dims()[0]
-    reps = src.homology.representatives(0)
-    cols = [
-        tgt.homology.express(0, _matvec(t, reps.column(j))) for j in range(reps.cols)
-    ]
-    rows = [[cols[j][i] for j in range(h_src)] for i in range(h_tgt)]
-    return src, tgt, Matrix.from_rows(rows, h_src)
+    return src, tgt, _homology_map(t, src, tgt)
 
 
 def coefficient_transition(module: FIModule, f: Injection, k: int) -> Matrix:
@@ -426,8 +405,7 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> Matrix:
 def _boundary_columns(stage: CubeStage):
     if stage.cube == 0:
         return []
-    d = stage.complex.differentials[0]
-    return [d.column(j) for j in range(d.cols)]
+    return SparseMatrix.from_matrix(stage.complex.differentials[0]).columns
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import permutation_sign, word_from_permutation
-from .exactla import Matrix
+from .exactla import CrossCheckError, Matrix
 
 Partition = tuple[int, ...]
 
@@ -170,7 +170,10 @@ def specht_dimension(lam: Partition) -> int:
             prod *= h
     by_hooks = math.factorial(n) // prod
     by_count = len(standard_tableaux(lam))
-    assert by_hooks == by_count, f"hook formula disagrees with tableau count at {lam}"
+    if by_hooks != by_count:
+        raise CrossCheckError(
+            f"hook formula ({by_hooks}) disagrees with tableau count ({by_count}) at {lam}"
+        )
     return by_hooks
 
 
@@ -318,7 +321,7 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
     """Decompose into irreducibles; raises unless all multiplicities are in Z>=0.
 
     The reconstruction identity (the multiplicities re-sum to the input) is
-    asserted before returning.
+    checked before returning; a failure raises ``CrossCheckError``.
     """
     mults: dict[Partition, int] = {}
     for lam in partitions_of(f.n):
@@ -331,7 +334,10 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
     # reconstruction identity
     for idx, ct in enumerate(partitions_of(f.n)):
         total = sum(m * irreducible_character(lam, ct) for lam, m in mults.items() if m)
-        assert total == f.values[idx], "decomposition failed to reconstruct input"
+        if total != f.values[idx]:
+            raise CrossCheckError(
+                f"decomposition failed to reconstruct the input at class {ct}"
+            )
     return RepDecomposition(f.n, mults)
 
 
@@ -490,22 +496,6 @@ def pad_partition(lam: Partition, k: int) -> Partition:
     return (k - size,) + lam
 
 
-@dataclass(frozen=True)
-class PaddedPartition:
-    """A partition padded with a long first row to total size k."""
-
-    lam: Partition
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", check_partition(self.lam))
-        pad_partition(self.lam, self.k)  # validates the range
-
-    @property
-    def partition(self) -> Partition:
-        return pad_partition(self.lam, self.k)
-
-
 def unpad_partition(lam: Partition) -> Partition:
     """Strip the first row: the tail (lam_2, lam_3, ...)."""
     lam = check_partition(lam)
@@ -552,10 +542,11 @@ def gn_dimension(n: int, k: int) -> int:
         first = mu[0] if mu else 0
         if k >= first + n:
             weighted += specht_dimension(mu) * specht_dimension(pad_partition(mu, k))
-    assert alternating == weighted, (
-        f"internal inconsistency: layer dimension routes disagree at (n={n}, k={k}): "
-        f"{alternating} != {weighted}"
-    )
+    if alternating != weighted:
+        raise CrossCheckError(
+            f"layer dimension routes disagree at (n={n}, k={k}): "
+            f"{alternating} != {weighted}"
+        )
     return alternating
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ficalc import symrep
 from ficalc.cli import main
 from ficalc.symrep import gn_dimension, kostka
 
@@ -208,21 +209,11 @@ def test_report_markdown_default_and_verdict(capsys):
     assert "FAIL" not in out
 
 
-def test_report_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.md"
-    threaded = tmp_path / "threaded.md"
-    assert main(["report", "--n-max", "1", "--k-max", "3", "--output", str(serial)]) == 0
-    monkeypatch.setenv("FI_CALC_THREADS", "4")
-    assert main(["report", "--n-max", "1", "--k-max", "3", "--output", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_failed_cross_check_exits_1_with_message(capsys, monkeypatch):
+    monkeypatch.setattr(symrep, "specht_dimension", lambda lam: 0)
+    assert main(["gn", "--n", "2", "--k", "5"]) == 1
+    assert "routes disagree" in capsys.readouterr().err
 
 
 def test_report_guard(capsys):
     assert main(["report", "--n-max", "6", "--k-max", "3"]) == 2
-
-
-def test_invalid_thread_environment(capsys, monkeypatch):
-    for bad in ("0", "-2", "two"):
-        monkeypatch.setenv("FI_CALC_THREADS", bad)
-        assert main(["kostka", "--lambda", "2", "--mu", "1,1"]) == 2
-        capsys.readouterr()

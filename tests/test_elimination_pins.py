@@ -1,0 +1,137 @@
+"""Exact values pinned from the dense-elimination implementation.
+
+The rational solvers (kernels, cokernels, column solves, homology
+representatives and coordinates, coefficient transition matrices) must keep
+returning these very matrices, entry for entry, whatever elimination engine
+computes them.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from ficalc.exactla import (
+    ChainComplex,
+    Matrix,
+    RationalComplexHomology,
+    cokernel,
+    homology,
+    kernel_basis,
+    solve_columns,
+)
+from ficalc.fimod import CubeStage, coefficient_profile, free_module, representable
+
+
+def _rows(m: Matrix):
+    return (m.rows, m.cols, [[str(x) for x in r] for r in m.data])
+
+
+A = Matrix.from_rows([[F(1, 2), 1, 0, 3], [2, 4, F(1, 3), 12], [1, 2, F(1, 3), 6]])
+B = Matrix.from_rows([[0, 2, -1], [3, 0, F(1, 5)], [6, 4, F(-8, 5)], [1, 1, 1]])
+C = Matrix.from_rows(
+    [[0, 0, 0], [F(2, 7), 0, -1], [0, 0, 0], [F(4, 7), 0, -2], [1, F(-3, 2), 5]]
+)
+
+PINNED = {
+    "A": (
+        (4, 2, [["-2", "-6"], ["1", "0"], ["0", "0"], ["0", "1"]]),
+        (1, (1, 3, [["1", "-1/2", "1/2"]])),
+        (4, 2, [["11/2", "19/10"], ["0", "0"], ["2/3", "1/4"], ["0", "0"]]),
+    ),
+    "B": (
+        (3, 0, [[], [], []]),
+        (1, (1, 4, [["1", "1", "-1/2", "0"]])),
+        (3, 2, [["0", "-1/2"], ["1/2", "0"], ["2/3", "1/4"]]),
+    ),
+    "C": (
+        (3, 1, [["7/2"], ["17/3"], ["1"]]),
+        (
+            3,
+            (
+                3,
+                5,
+                [
+                    ["1", "0", "0", "0", "0"],
+                    ["0", "1", "0", "-1/2", "0"],
+                    ["0", "0", "1", "0", "0"],
+                ],
+            ),
+        ),
+        (3, 2, [["-7/3", "-11/8"], ["-59/18", "-17/12"], ["0", "0"]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,a", [("A", A), ("B", B), ("C", C)])
+def test_pinned_kernel_cokernel_solve(name, a):
+    kernel, (dim, proj), solution = PINNED[name]
+    assert _rows(kernel_basis(a)) == kernel
+    got_dim, got_proj = cokernel(a)
+    assert (got_dim, _rows(got_proj)) == (dim, proj)
+    x0 = Matrix.from_rows([[F(i - j, 1 + i + j) for j in range(2)] for i in range(a.cols)])
+    assert _rows(solve_columns(a, a @ x0)) == solution
+
+
+def test_pinned_free_module_transitions():
+    prof = coefficient_profile(free_module((2, 1), 8))
+    assert [_rows(t) for t in prof.transitions] == [
+        (1, 0, [[]]),
+        (2, 1, [["1"], ["1"]]),
+        (2, 2, [["1", "0"], ["0", "1"]]),
+    ]
+
+
+def test_pinned_representable_transitions():
+    prof = coefficient_profile(representable(3, 7))
+    identity6 = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    assert [_rows(t) for t in prof.transitions] == [
+        (3, 1, [["1"], ["1"], ["1"]]),
+        (
+            6,
+            3,
+            [
+                ["1", "0", "0"],
+                ["1", "0", "0"],
+                ["0", "1", "0"],
+                ["0", "0", "1"],
+                ["0", "1", "0"],
+                ["0", "0", "1"],
+            ],
+        ),
+        (6, 6, identity6),
+    ]
+
+
+def test_pinned_cube_stage_representatives():
+    reps = CubeStage(free_module((2, 1), 7), 3, 2).homology.representatives(0)
+    assert _rows(reps) == (11, 2, [["1", "0"], ["0", "1"]] + [["0", "0"]] * 9)
+
+
+def _two_loops() -> ChainComplex:
+    """Triangles 012 and 034 glued at 0, with the face 013 filled in."""
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)]
+    d1 = [[0] * len(edges) for _ in range(5)]
+    for j, (a, b) in enumerate(edges):
+        d1[a][j], d1[b][j] = -1, 1
+    d2 = [[0] for _ in edges]
+    for face, sign in (((1, 3), 1), ((0, 3), -1), ((0, 1), 1)):
+        d2[edges.index(face)][0] = sign
+    return ChainComplex((5, 7, 1), (Matrix.from_rows(d1), Matrix.from_rows(d2)))
+
+
+def test_pinned_homology_representatives_and_coordinates():
+    c = _two_loops()
+    res = homology(c, representatives=True)
+    assert res.betti == (1, 2, 0)
+    assert [_rows(m) for m in res.representatives] == [
+        (5, 1, [["1"], ["0"], ["0"], ["0"], ["0"]]),
+        (
+            7,
+            2,
+            [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "0"], ["0", "0"], ["0", "1"]],
+        ),
+        (1, 0, [[]]),
+    ]
+    solver = RationalComplexHomology(c)
+    cycle = [F(3, 2), -1, F(3, 2), -2, 1, F(1, 2), 2]
+    assert solver.express(1, cycle) == [F(1), F(2)]

@@ -1,5 +1,6 @@
 """Exact linear algebra: elimination, Smith form, homology, poset colimits."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ficalc.exactla import (
     ChainComplex,
     ComplexInvalidError,
+    CrossCheckError,
     Matrix,
     PosetColimit,
     RationalComplexHomology,
@@ -334,3 +336,37 @@ def test_colimit_structure_maps_commute():
     psi0, psi1, psi2 = colim.structure_maps
     assert psi1 @ e01 == psi0
     assert psi2 @ e12 == psi1
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """Downward closures of a few random simplices on two to six vertices."""
+    vertices = draw(st.integers(min_value=2, max_value=6))
+    tops = draw(
+        st.lists(
+            st.lists(st.integers(0, vertices - 1), min_size=2, max_size=4, unique=True),
+            max_size=8,
+        )
+    )
+    closed = set()
+    for top in tops:
+        top = tuple(sorted(top))
+        for size in range(2, len(top) + 1):
+            closed.update(itertools.combinations(top, size))
+    dim = max((len(s) for s in closed), default=1)
+    return _simplicial_complex(
+        vertices, [[s for s in closed if len(s) == d + 1] for d in range(1, dim)]
+    )
+
+
+@given(simplicial_complexes())
+@settings(max_examples=60, deadline=None)
+def test_rational_betti_numbers_match_integral(c):
+    assert homology(c).betti == homology(c, integral=True).betti
+
+
+def test_euler_characteristic_mismatch_raises(monkeypatch):
+    circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
+    monkeypatch.setattr(RationalComplexHomology, "dims", lambda self: (1, 0))
+    with pytest.raises(CrossCheckError, match="Euler characteristic"):
+        homology(circle)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ficalc.combinat import conjugacy_class_word, permutation_from_word
-from ficalc.exactla import Matrix
+from ficalc import symrep
+from ficalc.exactla import CrossCheckError, Matrix
 from ficalc.symrep import (
     ClassFunction,
     NotACharacterError,
@@ -306,3 +307,22 @@ def test_irreducible_norm_one(lam):
     chi = irreducible_class_function(lam)
     assert inner_product(chi, chi) == 1
     assert chi.dimension == specht_dimension(lam)
+
+
+def test_hook_formula_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(symrep, "standard_tableaux", lambda lam: [])
+    with pytest.raises(CrossCheckError, match="tableau count"):
+        specht_dimension((2, 1))
+
+
+def test_decomposition_reconstruction_mismatch_raises(monkeypatch):
+    f = irreducible_class_function((2, 1))
+    monkeypatch.setattr(symrep, "irreducible_character", lambda lam, ct: 0)
+    with pytest.raises(CrossCheckError, match="reconstruct"):
+        decompose_class_function(f)
+
+
+def test_layer_dimension_routes_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(symrep, "specht_dimension", lambda lam: 0)
+    with pytest.raises(CrossCheckError, match="routes disagree"):
+        gn_dimension(2, 5)
