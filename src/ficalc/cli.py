@@ -511,7 +511,11 @@ def _dictionary_modules(n_max: int, k_max: int):
         bound = parameter if kind == "representable" else sum(parameter)
         if bound > min(3, n_max) or window < 2 * bound + 1:
             continue
-        chosen.append((kind, parameter, window))
+        label = (
+            f"representable({parameter})" if kind == "representable"
+            else f"free(({_fmt_partition(parameter)}))"
+        )
+        chosen.append((kind, parameter, window, label))
     return chosen
 
 
@@ -523,7 +527,7 @@ def _build_recipe(kind, parameter, window):
 
 def _dictionary_cells(n_max: int, k_max: int):
     cells = []
-    for kind, parameter, window in _dictionary_modules(n_max, k_max):
+    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
 
         def cell(kind=kind, parameter=parameter, window=window):
             module = _build_recipe(kind, parameter, window)
@@ -536,10 +540,6 @@ def _dictionary_cells(n_max: int, k_max: int):
                     return False, f"k={k}: {predicted} != {direct}"
             return True, f"k={2 * top}..{window} all equal"
 
-        label = (
-            f"representable({parameter})" if kind == "representable"
-            else f"free(({_fmt_partition(parameter)}))"
-        )
         cells.append((label, cell))
     return cells
 
@@ -547,11 +547,7 @@ def _dictionary_cells(n_max: int, k_max: int):
 def _shift_cells(n_max: int, k_max: int):
     cells = []
     bound = min(2, n_max)
-    for kind, parameter, window in _dictionary_modules(n_max, k_max):
-        label = (
-            f"representable({parameter})" if kind == "representable"
-            else f"free(({_fmt_partition(parameter)}))"
-        )
+    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
         for n in range(0, bound + 1):
             for i in range(0, bound + 1):
 
@@ -570,11 +566,7 @@ def _shift_cells(n_max: int, k_max: int):
 
 def _stability_cells(n_max: int, k_max: int):
     cells = []
-    for kind, parameter, window in _dictionary_modules(n_max, k_max):
-        label = (
-            f"representable({parameter})" if kind == "representable"
-            else f"free(({_fmt_partition(parameter)}))"
-        )
+    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
 
         def cell(kind=kind, parameter=parameter, window=window):
             module = _build_recipe(kind, parameter, window)

@@ -2,9 +2,10 @@
 
 Everything here is exact: entries are python ints or ``fractions.Fraction``,
 never floats.  Dense matrices are small row-tuples that carry data in and out
-of the public functions; the sparse column format carries the larger, very
-sparse systems produced by the module calculus (permutation actions, chain
-complexes of posets).
+of the public functions and into Smith normal form; the sparse column format
+carries the larger, very sparse systems produced by the module calculus
+(permutation actions, and every chain complex: ``ChainComplex`` differentials
+and ``kernel_basis`` are ``SparseMatrix``).
 
 All rational elimination runs on one engine, ``VectorReducer``, whose rows
 are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
@@ -421,20 +422,22 @@ def rank(a: Matrix) -> int:
     return _span(_sparse_rows(a)).rank
 
 
-def kernel_basis(a: Matrix) -> Matrix:
+def kernel_basis(a: SparseMatrix) -> SparseMatrix:
     """Basis of the right kernel, as columns; deterministic (RREF back-fill)."""
-    red = _span(_sparse_rows(a))
+    rows: list[SparseVec] = [{} for _ in range(a.rows)]
+    for j, col in enumerate(a.columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    red = _span(rows)
     pivots = set(red.pivots())
     free = [c for c in range(a.cols) if c not in pivots]
     index = {f: k for k, f in enumerate(free)}
-    entries = [Fraction(0)] * (a.cols * len(free))
-    for f, k in index.items():
-        entries[f * len(free) + k] = Fraction(1)
+    columns: list[SparseVec] = [{f: Fraction(1)} for f in free]
     for p, row in red.rows():
         for f, x in row.items():
             if f != p:
-                entries[p * len(free) + index[f]] = -x
-    return Matrix(a.cols, len(free), entries)
+                columns[index[f]][p] = -x
+    return SparseMatrix(a.cols, len(free), columns)
 
 
 def cokernel(a: Matrix) -> tuple[int, Matrix]:
@@ -656,11 +659,11 @@ class _SnfWorker:
             if i < t:
                 continue
             ri = self.row[i]
-            rlen = sum(1 for j in ri if j >= t)
+            # rows and columns before t hold only their diagonal entry, so
+            # every entry of row i and column j lies in the trailing block
+            rlen = len(ri)
             for j, v in ri.items():
-                if j < t:
-                    continue
-                clen = sum(1 for r in self.colix.get(j, ()) if r >= t)
+                clen = len(self.colix[j])
                 key = (abs(v), (rlen - 1) * (clen - 1), i, j)
                 if best is None or key < best[0]:
                     best = (key, (i, j))
@@ -714,7 +717,7 @@ class ChainComplex:
     """A finite chain complex; ``differentials[i]`` maps degree i+1 to degree i."""
 
     dims: tuple[int, ...]
-    differentials: tuple[Matrix, ...]
+    differentials: tuple[SparseMatrix, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -730,9 +733,8 @@ class ChainComplex:
     def validate(self) -> None:
         """Check d . d = 0 (sparse composition, cheap for sparse inputs)."""
         for i in range(len(self.differentials) - 1):
-            lo = SparseMatrix.from_matrix(self.differentials[i])
-            hi = SparseMatrix.from_matrix(self.differentials[i + 1])
-            for col in hi.columns:
+            lo = self.differentials[i]
+            for col in self.differentials[i + 1].columns:
                 if lo.apply(col):
                     raise ComplexInvalidError(i)
 
@@ -751,7 +753,8 @@ def homology(c: ChainComplex, integral: bool = False, representatives: bool = Fa
 
     Rational mode reports Betti numbers (and optionally representative
     cycles); integral mode additionally reports the invariant factors > 1 of
-    each incoming differential (the torsion of that degree).
+    each incoming differential (the torsion of that degree); Smith normal
+    form reads each differential densely.
     """
     c.validate()
     n = len(c.dims)
@@ -759,7 +762,7 @@ def homology(c: ChainComplex, integral: bool = False, representatives: bool = Fa
         ranks = []
         torsions = []
         for d in c.differentials:
-            facs = invariant_factors(d)
+            facs = invariant_factors(d.to_matrix())
             ranks.append(len(facs))
             torsions.append(tuple(f for f in facs if f > 1))
         betti = []
@@ -804,10 +807,10 @@ class RationalComplexHomology:
         for i in range(n):
             d = c.dims[i]
             if i > 0:
-                cycles = SparseMatrix.from_matrix(kernel_basis(c.differentials[i - 1])).columns
+                cycles = kernel_basis(c.differentials[i - 1]).columns
             else:
                 cycles = [{j: Fraction(1)} for j in range(d)]
-            red = _span(SparseMatrix.from_matrix(c.differentials[i]).columns if i < n - 1 else ())
+            red = _span(c.differentials[i].columns if i < n - 1 else ())
             reps: list[SparseVec] = []
             for z in cycles:
                 if _tagged_insert(red, z, d, d + len(reps)) is None:

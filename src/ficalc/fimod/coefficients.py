@@ -135,7 +135,7 @@ class CubeStage:
 
         differentials = []
         for i in range(cube):
-            rows = [[Fraction(0)] * dims[i + 1] for _ in range(dims[i])]
+            columns = [{} for _ in range(dims[i + 1])]
             for subset in self.summands[i + 1]:
                 s = len(subset)
                 src_q = self.quotients[s]
@@ -149,9 +149,10 @@ class CubeStage:
                     tgt_off = self.offsets[i][bigger]
                     for local, b in enumerate(src_q.free):
                         w = module.apply_injection(inj, {b: 1})
-                        for li, v in tgt_q.project(w).items():
-                            rows[tgt_off + li][src_off + local] += sign * v
-            differentials.append(Matrix.from_rows(rows, dims[i + 1]))
+                        columns[src_off + local].update(
+                            (tgt_off + li, sign * v) for li, v in tgt_q.project(w).items()
+                        )
+            differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
         self.complex = ChainComplex(self.dims, differentials)
         self.homology = RationalComplexHomology(self.complex)
 
@@ -405,7 +406,7 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> Matrix:
 def _boundary_columns(stage: CubeStage):
     if stage.cube == 0:
         return []
-    return SparseMatrix.from_matrix(stage.complex.differentials[0]).columns
+    return stage.complex.differentials[0].columns
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +445,17 @@ def coefficient_profile(module: FIModule, max_index: int | None = None) -> Coeff
 
 
 # ---------------------------------------------------------------------------
-# dense cube complex (reference construction, no coinvariants)
+# full cube complex (reference construction, no coinvariants)
 # ---------------------------------------------------------------------------
 
 
 def delta_complex(module: FIModule, n: int, k: int) -> ChainComplex:
-    """The full (non-coinvariant) stage-k cube complex, densely assembled."""
+    """The full (non-coinvariant) stage-k cube complex, assembled from the
+    structure maps applied to basis vectors."""
     if n < 0 or k < 0:
         raise ValueError("cube size and stage must be non-negative")
     if n + k > module.max_degree:
         raise WindowError(f"degree {n + k} outside window {module.max_degree}")
-    from .core import evaluate
-
     summands = [list(itertools.combinations(range(n), n - i)) for i in range(n + 1)]
     offsets = []
     dims = []
@@ -469,20 +469,16 @@ def delta_complex(module: FIModule, n: int, k: int) -> ChainComplex:
         dims.append(total)
     differentials = []
     for i in range(n):
-        rows = [[Fraction(0)] * dims[i + 1] for _ in range(dims[i])]
+        columns = [{} for _ in range(dims[i + 1])]
         for subset in summands[i + 1]:
-            s = len(subset)
             src_off = offsets[i + 1][subset]
             for x in (x for x in range(n) if x not in subset):
                 bigger = tuple(sorted(subset + (x,)))
                 sign = _insertion_sign(subset, x)
-                block = evaluate(module, _insertion(subset, x, k))
+                inj = _insertion(subset, x, k)
                 tgt_off = offsets[i][bigger]
-                for r in range(block.rows):
-                    row = rows[tgt_off + r]
-                    for c in range(block.cols):
-                        v = block.entry(r, c)
-                        if v:
-                            row[src_off + c] += sign * v
-        differentials.append(Matrix.from_rows(rows, dims[i + 1]))
+                for b in range(module.dims[len(subset) + k]):
+                    w = module.apply_injection(inj, {b: 1})
+                    columns[src_off + b].update((tgt_off + r, sign * v) for r, v in w.items())
+        differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
     return ChainComplex(tuple(dims), differentials)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import PartialBijectionPoset, build_poset
-from .exactla import ChainComplex, HomologyResult, Matrix, homology
+from .exactla import ChainComplex, HomologyResult, SparseMatrix, homology
 from .symrep import gn_dimension
 
 
@@ -76,18 +76,16 @@ def order_complex(poset: PartialBijectionPoset) -> OrderComplex:
     return OrderComplex(count, tuple(tuple(sorted(batch)) for batch in chains))
 
 
-def _boundary(complex: OrderComplex, dim: int) -> Matrix:
+def _boundary(complex: OrderComplex, dim: int) -> SparseMatrix:
     """Simplicial boundary from dimension dim to dim-1 (index-order signs)."""
     faces = complex.simplices[dim - 1]
     simps = complex.simplices[dim]
     face_index = {f: i for i, f in enumerate(faces)}
-    rows, cols = len(faces), len(simps)
-    entries = [0] * (rows * cols)
-    for j, simplex in enumerate(simps):
-        for i in range(dim + 1):
-            face = simplex[:i] + simplex[i + 1 :]
-            entries[face_index[face] * cols + j] = -1 if i % 2 else 1
-    return Matrix(rows, cols, entries)
+    columns = [
+        {face_index[simplex[:i] + simplex[i + 1 :]]: -1 if i % 2 else 1 for i in range(dim + 1)}
+        for simplex in simps
+    ]
+    return SparseMatrix(len(faces), len(simps), columns)
 
 
 def complex_homology(complex: OrderComplex) -> HomologyResult:

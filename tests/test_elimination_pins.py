@@ -1,8 +1,9 @@
 """Exact values pinned from the dense-elimination implementation.
 
 The rational solvers (kernels, cokernels, column solves, homology
-representatives and coordinates, coefficient transition matrices) must keep
-returning these very matrices, entry for entry, whatever elimination engine
+representatives and coordinates, coefficient transition matrices) and the
+unimodular transforms of Smith normal form must keep returning these very
+matrices, entry for entry, whatever elimination engine or pivot bookkeeping
 computes them.
 """
 
@@ -14,9 +15,11 @@ from ficalc.exactla import (
     ChainComplex,
     Matrix,
     RationalComplexHomology,
+    SparseMatrix,
     cokernel,
     homology,
     kernel_basis,
+    smith_normal_form,
     solve_columns,
 )
 from ficalc.fimod import CubeStage, coefficient_profile, free_module, representable
@@ -65,7 +68,7 @@ PINNED = {
 @pytest.mark.parametrize("name,a", [("A", A), ("B", B), ("C", C)])
 def test_pinned_kernel_cokernel_solve(name, a):
     kernel, (dim, proj), solution = PINNED[name]
-    assert _rows(kernel_basis(a)) == kernel
+    assert _rows(kernel_basis(SparseMatrix.from_matrix(a)).to_matrix()) == kernel
     got_dim, got_proj = cokernel(a)
     assert (got_dim, _rows(got_proj)) == (dim, proj)
     x0 = Matrix.from_rows([[F(i - j, 1 + i + j) for j in range(2)] for i in range(a.cols)])
@@ -116,7 +119,10 @@ def _two_loops() -> ChainComplex:
     d2 = [[0] for _ in edges]
     for face, sign in (((1, 3), 1), ((0, 3), -1), ((0, 1), 1)):
         d2[edges.index(face)][0] = sign
-    return ChainComplex((5, 7, 1), (Matrix.from_rows(d1), Matrix.from_rows(d2)))
+    return ChainComplex(
+        (5, 7, 1),
+        (SparseMatrix.from_matrix(Matrix.from_rows(d1)), SparseMatrix.from_matrix(Matrix.from_rows(d2))),
+    )
 
 
 def test_pinned_homology_representatives_and_coordinates():
@@ -135,3 +141,33 @@ def test_pinned_homology_representatives_and_coordinates():
     solver = RationalComplexHomology(c)
     cycle = [F(3, 2), -1, F(3, 2), -2, 1, F(1, 2), 2]
     assert solver.express(1, cycle) == [F(1), F(2)]
+
+
+SNF_PINNED = [
+    (
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+        [[1, 0, 0], [2, -1, -1], [3, -4, -3]],
+        [2, 6, 12],
+        [[1, -2, 2], [0, 1, -2], [0, 0, 1]],
+    ),
+    (
+        [[0, 3, 0, 6], [4, 0, 2, 0], [0, 6, 0, 9]],
+        [[1, 1, 0], [4, 3, -1], [2, 3, 0]],
+        [1, 3, 6],
+        [[0, 0, 0, 1], [1, -2, 2, 0], [-1, 0, 3, -2], [0, 1, -2, 0]],
+    ),
+    (
+        [[1, 1, 0, 0], [-1, 0, 1, 0], [0, -1, -1, 2], [0, 0, 0, -2], [3, 1, -2, 0]],
+        [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [-1, 2, 0, 0, 1]],
+        [1, 1, 2, 0],
+        [[1, -1, 0, 1], [0, 1, 0, -1], [0, 0, 0, 1], [0, 0, 1, 0]],
+    ),
+]
+
+
+@pytest.mark.parametrize("a,u,diag,v", SNF_PINNED)
+def test_pinned_smith_transforms(a, u, diag, v):
+    got_u, got_d, got_v = smith_normal_form(Matrix.from_rows(a))
+    assert got_u == Matrix.from_rows(u)
+    assert [got_d.entry(i, i) for i in range(len(diag))] == diag
+    assert got_v == Matrix.from_rows(v)

@@ -183,3 +183,18 @@ def test_validate_detects_wrong_sign():
     transpositions[2][0] = bad
     broken = FIModule("broken", 4, 2, module.dims, transpositions, module.inclusions)
     assert not validate(broken).valid
+
+
+def test_validate_rejects_sign_module():
+    # E(k) = sign with every inclusion 1 satisfies the Coxeter relations and
+    # equivariance, but the swap of the two new points negates the image of
+    # E(k-2), so it is not a functor on injections.
+    k_max = 5
+    transpositions = [
+        [SparseMatrix(1, 1, [{0: -1}]) for _ in range(max(k - 1, 0))] for k in range(k_max + 1)
+    ]
+    inclusions = [SparseMatrix(1, 1, [{0: 1}]) for _ in range(k_max)]
+    sign = FIModule("sign", k_max, 0, [1] * (k_max + 1), transpositions, inclusions)
+    report = validate(sign)
+    assert not report.valid
+    assert all("moves the image" in v for v in report.violations)
