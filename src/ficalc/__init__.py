@@ -34,6 +34,7 @@ from .fimod import (  # noqa: F401
     validate,
 )
 from .nervehom import (  # noqa: F401
+    chessboard_complex,
     complex_homology,
     connectivity_check,
     order_complex,

@@ -1,8 +1,12 @@
 """End-to-end tests for the fi-calc command line driver."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ficalc import symrep
 from ficalc.cli import main
@@ -217,3 +221,46 @@ def test_failed_cross_check_exits_1_with_message(capsys, monkeypatch):
 
 def test_report_guard(capsys):
     assert main(["report", "--n-max", "6", "--k-max", "3"]) == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every field of a JSON document, as the key path that reaches it."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mutated_module_documents_never_escape(data):
+    # One field of a saved representable(1, 3) is replaced or deleted; the
+    # validate and decompose commands must answer with an exit code.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "module.json")
+        assert main(["representable", "--n", "1", "--max-degree", "3", "--output", path]) == 0
+        doc = json.loads(Path(path).read_text())
+        field = data.draw(st.sampled_from(list(_field_paths(doc))))
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[field[-1]]
+        else:
+            parent[field[-1]] = data.draw(json_values)
+        Path(path).write_text(json.dumps(doc))
+        assert main(["validate", path]) in {0, 1, 2}
+        assert main(["decompose", path, "--k", "2"]) in {0, 1, 2}

@@ -7,6 +7,7 @@ from ficalc.exactla import HomologyResult
 from ficalc.nervehom import (
     TheoremViolationError,
     certify_homology,
+    chessboard_complex,
     complex_homology,
     connectivity_check,
     order_complex,
@@ -154,3 +155,48 @@ def test_betti_numbers_symmetric_in_both_sizes():
     for n in range(1, 4):
         for k in range(n + 1, 5):
             assert padded(n, k) == padded(k, n), (n, k)
+
+
+def test_chessboard_complex_faces_are_the_poset_elements():
+    C = chessboard_complex(2, 3)
+    assert C.vertex_count == 6
+    assert C.simplices[0] == tuple(((i, j),) for i in range(2) for j in range(3))
+    assert sorted(m for batch in C.simplices for m in batch) == sorted(
+        build_poset(2, 3).elements
+    )
+    for batch in C.simplices:
+        assert list(batch) == sorted(batch)
+        for matching in batch:
+            assert list(matching) == sorted(set(matching))
+
+
+def test_chessboard_complex_sizes():
+    assert tuple(map(len, chessboard_complex(3, 7).simplices)) == (21, 126, 210)
+    assert tuple(map(len, chessboard_complex(4, 7).simplices)) == (28, 252, 840, 840)
+    assert chessboard_complex(0, 4).simplices == ()
+
+
+def test_chessboard_homology_equals_nerve_homology():
+    # The nerve is the barycentric subdivision of M_{n,k}; it stays the
+    # independent oracle, in and below the wedge range.
+    for n in range(1, 4):
+        for k in range(n, 7):
+            chessboard = complex_homology(chessboard_complex(n, k))
+            nerve = complex_homology(order_complex(build_poset(n, k)))
+            assert chessboard.betti == nerve.betti, (n, k)
+            assert chessboard.torsion == nerve.torsion, (n, k)
+
+
+def test_chessboard_torsion_below_the_range():
+    # M_{5,5} lies below k >= 2n-1 and carries 3-torsion (Shareshian-Wachs).
+    result = complex_homology(chessboard_complex(5, 5))
+    assert result.betti == (0, 0, 0, 56, 0)
+    assert result.torsion == ((), (), (3,), (), ())
+    with pytest.raises(ValueError):
+        wedge_certificate(5, 5)
+
+
+def test_wedge_certificate_reaches_four_into_seven():
+    cert = wedge_certificate(4, 7)
+    assert cert.rank == gn_dimension(4, 7) == 225
+    assert cert.betti == (0, 0, 0, 225)
