@@ -221,7 +221,7 @@ def determinant(a: Matrix) -> Fraction:
 # sparse vectors / matrices
 # ---------------------------------------------------------------------------
 
-SparseVec = dict  # index -> Fraction, zero entries absent
+SparseVec = dict  # index -> int or Fraction, zero entries absent
 
 
 def vec_add(u: SparseVec, v: SparseVec, c=1) -> SparseVec:

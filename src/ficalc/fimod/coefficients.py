@@ -54,7 +54,7 @@ class CoinvariantQuotient:
         for gi in range(s + 1, s + k):
             g = gens[gi - 1]
             for b in range(d):
-                w = vec_add({b: Fraction(1)}, g.apply({b: 1}), Fraction(-1))
+                w = vec_add({b: 1}, g.apply({b: 1}), -1)
                 if w:
                     reducer.insert(w)
         pivots = set(reducer.pivots())

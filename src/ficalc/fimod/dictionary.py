@@ -10,7 +10,6 @@ constituents mu, padded to partitions of k by a long first row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..combinat import conjugacy_class_word, permutation_from_word
 from ..symrep import (
@@ -41,10 +40,10 @@ def stage_character(module: FIModule, k: int) -> ClassFunction:
     values = []
     for cycle_type in partitions_of(k):
         perm = permutation_from_word(conjugacy_class_word(cycle_type), k)
-        trace = Fraction(0)
+        trace = 0
         for b in range(dim):
-            image = module.apply_permutation(k, perm, {b: Fraction(1)})
-            trace += image.get(b, Fraction(0))
+            image = module.apply_permutation(k, perm, {b: 1})
+            trace += image.get(b, 0)
         values.append(trace)
     return ClassFunction(k, tuple(values))
 

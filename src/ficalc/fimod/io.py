@@ -6,6 +6,13 @@ degree as a string, holding the k-1 adjacent-transposition matrices), and
 ``inclusions``.  A matrix is ``{"rows": r, "cols": c, "entries": [...]}``
 with row-major entries, each either an integer or a lowest-terms ``"p/q"``
 string.  Anything else is rejected with a message naming the offending field.
+
+Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
+an integral module stays in ``int`` arithmetic.  Loading visits only the
+nonzero entries once a whole entry list is known to hold nothing but ints and
+non-empty strings.  A saved file holds exactly the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; the lists of
+scalars are rendered by the C encoder, which ``indent`` would switch off.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from pathlib import Path
 
@@ -29,9 +37,10 @@ _TOP_FIELDS = {
     "inclusions",
 }
 _MATRIX_FIELDS = {"rows", "cols", "entries"}
+_ENTRY_TYPES = {int, str}
 
 
-def _entry_out(value: Fraction):
+def _entry_out(value: int | Fraction):
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
@@ -60,10 +69,34 @@ def module_to_json(module: FIModule) -> dict:
     }
 
 
+def _dumps(value, pad: str) -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True)`` lays
+    it out at the depth of ``pad`` (a newline and the indentation).
+
+    A module document's lists hold only objects or only scalars; a list of
+    scalars is rendered in one call to the C encoder, with the newline and
+    indentation folded into its item separator.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [json.dumps(key) + ": " + _dumps(value[key], inner) for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        items = [_dumps(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, list):
+        items = [json.dumps(value, separators=("," + inner, ": "))[1:-1]] if value else []
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def save_module(module: FIModule, path) -> None:
     """Write the module to ``path``; identical modules produce identical bytes."""
-    text = json.dumps(module_to_json(module), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_dumps(module_to_json(module), "\n") + "\n")
 
 
 def _expect_natural(value, what: str) -> int:
@@ -72,11 +105,11 @@ def _expect_natural(value, what: str) -> int:
     return value
 
 
-def _entry_in(value, where: str) -> Fraction:
+def _entry_in(value, where: str) -> int | Fraction:
     if isinstance(value, bool):
         raise ModuleFormatError(f"{where}: boolean is not a matrix entry")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         match = _FRACTION_RE.match(value)
         if not match:
@@ -111,10 +144,15 @@ def _matrix_in(doc, where: str) -> SparseMatrix:
             f"{where}: need a list of exactly rows*cols = {rows * cols} entries"
         )
     mat = SparseMatrix(rows, cols)
-    for idx, raw in enumerate(entries):
-        v = _entry_in(raw, f"{where}.entries[{idx}]")
+    indices = range(len(entries))
+    if set(map(type, entries)) <= _ENTRY_TYPES and "" not in entries:
+        # Every falsy entry is then the valid int 0: read only the others.
+        indices = compress(indices, entries)
+    for idx in indices:
+        v = _entry_in(entries[idx], f"{where}.entries[{idx}]")
         if v:
-            mat.columns[idx % cols][idx // cols] = v
+            r, c = divmod(idx, cols)
+            mat.columns[c][r] = v
     return mat
 
 

@@ -2,10 +2,12 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from ficalc.cli import main
 from ficalc.fimod import (
     ModuleFormatError,
     free_module,
@@ -15,6 +17,7 @@ from ficalc.fimod import (
     representable,
     save_module,
     validate,
+    zero_module,
 )
 
 
@@ -154,3 +157,80 @@ def test_garbage_json_raises_format_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModuleFormatError):
         load_module(path)
+
+
+def _pinned_bytes(module) -> bytes:
+    return (json.dumps(module_to_json(module), indent=2, sort_keys=True) + "\n").encode()
+
+
+def _fraction_module():
+    doc = module_to_json(representable(2, 5))
+    doc["inclusions"][2]["entries"][0] = "1/2"
+    doc["transpositions"]["4"][1]["entries"][7] = "-3/5"
+    return module_from_json(doc)
+
+
+def _quoted_name_module():
+    doc = module_to_json(free_module((1,), 3))
+    doc["name"] = 'say "héllo" \\ ☃ \t'
+    return module_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda n=n, k=k: representable(n, k) for n, k in ((0, 0), (1, 1), (1, 2))),
+        *(lambda k=k: zero_module(k) for k in (0, 1, 2)),
+        lambda: free_module((2, 2), 9),
+        _fraction_module,
+        _quoted_name_module,
+    ],
+    ids=[
+        "representable(0)-K0",
+        "representable(1)-K1",
+        "representable(1)-K2",
+        "zero-K0",
+        "zero-K1",
+        "zero-K2",
+        "free(2,2)-K9",
+        "fractions",
+        "quoted-name",
+    ],
+)
+def test_saved_bytes_are_the_indented_sorted_dump(build, tmp_path):
+    module = build()
+    path = tmp_path / "mod.json"
+    save_module(module, path)
+    assert path.read_bytes() == _pinned_bytes(module)
+
+
+def test_free_command_prints_the_saved_bytes(tmp_path, capsys):
+    assert main(["free", "--lambda", "2,1", "--max-degree", "5"]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "mod.json"
+    save_module(free_module((2, 1), 5), path)
+    assert printed.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [False, 0.0, None, "", "0/1", "0/3"])
+def test_first_bad_entry_after_leading_zeros_is_named(doc, bad):
+    entries = doc["transpositions"]["3"][0]["entries"]
+    idx = next(i for i, x in enumerate(entries) if x)
+    assert 0 < idx < len(entries) - 1 and not any(entries[:idx])
+    entries[idx] = bad
+    entries[-1] = "0/1"  # a later bad entry must not be the one reported
+    with pytest.raises(ModuleFormatError, match=re.escape(f"transpositions[3][0].entries[{idx}]:")):
+        module_from_json(doc)
+
+
+@pytest.mark.parametrize("module", [representable(2, 5), free_module((2, 1), 5)])
+def test_integer_entries_load_as_int(module, tmp_path):
+    path = tmp_path / "mod.json"
+    save_module(module, path)
+    loaded = load_module(path)
+    pairs = list(zip(module.inclusions, loaded.inclusions))
+    for k in range(module.max_degree + 1):
+        pairs += zip(module.transpositions[k], loaded.transpositions[k])
+    for built, read in pairs:
+        assert read.columns == built.columns
+        assert all(type(x) is int for column in read.columns for x in column.values())
