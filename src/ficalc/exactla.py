@@ -1,17 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is exact: entries are python ints or ``fractions.Fraction``,
-never floats.  Dense matrices are small row-tuples that carry data in and out
-of the public functions and into Smith normal form; the sparse column format
-carries the larger, very sparse systems produced by the module calculus
-(permutation actions, and every chain complex: ``ChainComplex`` differentials
-and ``kernel_basis`` are ``SparseMatrix``).
+never floats.  ``SparseMatrix`` (one dict per column) is the one matrix type
+of rational work: chain complex differentials, kernels, cokernels, colimit
+structure maps and the matrices of module maps all take and return it.  The
+dense ``Matrix`` is only a small value type for Smith normal form (its input
+and unimodular transforms) and for Specht representation matrices.
 
 All rational elimination runs on one engine, ``VectorReducer``, whose rows
 are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
-``cokernel``, ``solve_columns`` and ``RationalComplexHomology`` read their
-answers off it.  Integer work (Smith normal form, torsion) runs on
-``_SnfWorker``; ``determinant`` uses integer Bareiss elimination.
+``cokernel`` and ``RationalComplexHomology`` read their answers off it.
+Integer work (Smith normal form, torsion) runs on ``_SnfWorker``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ def _coerce(x) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries (row-major)."""
+    """Immutable dense matrix with exact rational entries (row-major): the
+    value type of Smith normal form and of Specht representation matrices."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -87,10 +87,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     # -- basic protocol ------------------------------------------------
     def __eq__(self, other):
         return (
@@ -112,39 +108,8 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
-
-    @property
-    def entries(self) -> list:
-        """Row-major flat list of entries."""
-        return [x for r in self.data for x in r]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.data for x in r)
-
-    # -- arithmetic ------------------------------------------------------
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("addition shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [a + b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-x for r in self.data for x in r])
-
-    def scale(self, c) -> "Matrix":
-        c = _coerce(c)
-        return Matrix(self.rows, self.cols, [c * x for r in self.data for x in r])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -159,62 +124,6 @@ class Matrix:
         if not self.data or not other.data:
             out = [Fraction(0)] * (self.rows * other.cols)
         return Matrix(self.rows, other.cols, out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows, [self.data[i][j] for j in range(self.cols) for i in range(self.rows)]
-        )
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ShapeMismatchError("hstack row mismatch")
-        return Matrix.from_rows(
-            [list(a) + list(b) for a, b in zip(self.data, other.data)], self.cols + other.cols
-        )
-
-
-# ---------------------------------------------------------------------------
-# determinant (integer Bareiss elimination)
-# ---------------------------------------------------------------------------
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant (Bareiss over a common denominator)."""
-    if a.rows != a.cols:
-        raise ShapeMismatchError("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    denom = Fraction(1)
-    rows = []
-    for r in a.data:
-        lcm = 1
-        for x in r:
-            if x.denominator != 1:
-                g = _gcd(lcm, x.denominator)
-                lcm = lcm // g * x.denominator
-        denom *= lcm
-        rows.append([int(x * lcm) for x in r])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            rows[i] = [(piv * rows[i][j] - rows[i][c] * rows[c][j]) // prev for j in range(n)]
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1], 1) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +289,12 @@ class VectorReducer:
         return not self.reduce(vec)
 
 
-def sparse_rank(a: SparseMatrix) -> int:
-    return _span(a.columns).rank
-
-
 def _span(vectors: Iterable[SparseVec]) -> VectorReducer:
     red = VectorReducer()
     for v in vectors:
         if v:
             red.insert(v)
     return red
-
-
-def _sparse_rows(a: Matrix) -> list[SparseVec]:
-    return [{j: x for j, x in enumerate(r) if x} for r in a.data]
 
 
 def _tagged_insert(red: VectorReducer, vec: SparseVec, space: int, tag: int) -> SparseVec | None:
@@ -413,13 +314,13 @@ def _tagged_insert(red: VectorReducer, vec: SparseVec, space: int, tag: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# rational solves, all read off the reduced row echelon form of a reducer
+# rank, kernels and cokernels, all read off the reduced row echelon form
 # ---------------------------------------------------------------------------
 
 
-def rank(a: Matrix) -> int:
+def rank(a: SparseMatrix) -> int:
     """Rank over Q."""
-    return _span(_sparse_rows(a)).rank
+    return _span(a.columns).rank
 
 
 def kernel_basis(a: SparseMatrix) -> SparseMatrix:
@@ -440,15 +341,17 @@ def kernel_basis(a: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.cols, len(free), columns)
 
 
-def cokernel(a: Matrix) -> tuple[int, Matrix]:
+def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
     """Cokernel of ``a`` as (dimension, projection matrix).
 
     The projection has full row rank, kills the image of ``a``, and its
     restriction to the chosen complement is the identity.  The complement is
     the lexicographically first maximal set of standard basis vectors that is
-    independent modulo the image.
+    independent modulo the image, so every other basis vector projects into
+    the span of the complement vectors before it: the q-th complement vector
+    is the first column of the projection with a nonzero entry in row q.
     """
-    red = _span(SparseMatrix.from_matrix(a).columns)
+    red = _span(a.columns)
     q = 0
     columns: list[SparseVec] = []  # column j: e_j in the chosen complement
     for j in range(a.rows):
@@ -458,26 +361,7 @@ def cokernel(a: Matrix) -> tuple[int, Matrix]:
             q += 1
         else:
             columns.append({t - a.rows: -x for t, x in rem.items()})
-    return q, SparseMatrix(q, a.rows, columns).to_matrix()
-
-
-def solve_columns(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b column-wise; raises ValueError if inconsistent.
-
-    Free variables are set to zero, so the solution is read off the reduced
-    row echelon form of the augmented rows [a | b].
-    """
-    if a.rows != b.rows:
-        raise ShapeMismatchError("solve shape mismatch")
-    red = _span(_sparse_rows(a.hstack(b)))
-    x = SparseMatrix(a.cols, b.cols)
-    for p, row in red.rows():
-        if p >= a.cols:
-            raise ValueError("inconsistent linear system")
-        for j, v in row.items():
-            if j >= a.cols:
-                x.columns[j - a.cols][p] = v
-    return x.to_matrix()
+    return q, SparseMatrix(q, a.rows, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +629,7 @@ class HomologyResult:
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    representatives: tuple[Matrix, ...] | None = None
+    representatives: tuple[SparseMatrix, ...] | None = None
 
 
 def homology(c: ChainComplex, integral: bool = False, representatives: bool = False) -> HomologyResult:
@@ -821,16 +705,20 @@ class RationalComplexHomology:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rep_vectors)
 
-    def representatives(self, degree: int) -> Matrix:
+    def representatives(self, degree: int) -> SparseMatrix:
         reps = self.rep_vectors[degree]
-        return SparseMatrix(self.complex.dims[degree], len(reps), reps).to_matrix()
+        return SparseMatrix(self.complex.dims[degree], len(reps), reps)
 
     def express(self, degree: int, vec: Sequence[Fraction] | SparseVec) -> list[Fraction]:
         """Coordinates of a cycle (dense, or sparse as a dict) in the homology
         basis of the given degree."""
-        if not isinstance(vec, dict):
-            vec = {i: x for i, x in enumerate(vec) if x}
         d = self.complex.dims[degree]
+        if not isinstance(vec, dict):
+            if len(vec) != d:
+                raise ShapeMismatchError(f"expected a vector of length {d}, got {len(vec)}")
+            vec = {i: x for i, x in enumerate(vec) if x}
+        elif vec and (min(vec) < 0 or max(vec) >= d):
+            raise ShapeMismatchError(f"sparse vector has a coordinate outside 0..{d - 1}")
         rem = self._reducers[degree].reduce(vec)
         if rem and min(rem) < d:
             raise ValueError("vector is not a cycle modulo boundaries")
@@ -845,42 +733,36 @@ class RationalComplexHomology:
 @dataclass(frozen=True)
 class PosetColimit:
     dimension: int
-    structure_maps: tuple[Matrix, ...]
+    structure_maps: tuple[SparseMatrix, ...]
 
 
 def poset_colimit(
-    vertex_dims: Sequence[int], covers: Sequence[tuple[int, int, Matrix]]
+    vertex_dims: Sequence[int], covers: Sequence[tuple[int, int, SparseMatrix]]
 ) -> PosetColimit:
     """Colimit of a poset-shaped diagram of rational vector spaces.
 
     ``covers`` lists (source vertex, target vertex, edge matrix) for the
     cover relations; the colimit is the cokernel of the map sending v at
     source to v at source minus edge(v) at target.  Returns the dimension and
-    one structure map per vertex (from the vertex into the colimit).
+    one structure map per vertex (from the vertex into the colimit); read in
+    vertex order, their columns are those of the ``cokernel`` projection.
     """
     offs = []
     total = 0
     for d in vertex_dims:
         offs.append(total)
         total += d
-    cols = []
+    relations = []
     for (s, t, e) in covers:
         if (e.rows, e.cols) != (vertex_dims[t], vertex_dims[s]):
             raise ShapeMismatchError(
                 f"edge {s}->{t} has shape {e.rows}x{e.cols}, expected {vertex_dims[t]}x{vertex_dims[s]}"
             )
-        for b in range(vertex_dims[s]):
-            col = [Fraction(0)] * total
-            col[offs[s] + b] = Fraction(1)
-            for r in range(e.rows):
-                if e.data[r][b]:
-                    col[offs[t] + r] -= e.data[r][b]
-            cols.append(col)
-    rel = Matrix(total, len(cols), [c[i] for i in range(total) for c in cols]) if cols else Matrix.zero(total, 0)
-    dim, proj = cokernel(rel)
-    maps = []
-    for v, d in enumerate(vertex_dims):
-        entries = [proj.data[r][offs[v] + b] for r in range(dim) for b in range(d)]
-        maps.append(Matrix(dim, d, entries))
-    return PosetColimit(dim, tuple(maps))
-
+        for b, col in enumerate(e.columns):
+            shifted = {offs[t] + r: x for r, x in col.items()}
+            relations.append(vec_add({offs[s] + b: Fraction(1)}, shifted, -1))
+    dim, proj = cokernel(SparseMatrix(total, len(relations), relations))
+    maps = tuple(
+        SparseMatrix(dim, d, proj.columns[offs[v] : offs[v] + d]) for v, d in enumerate(vertex_dims)
+    )
+    return PosetColimit(dim, maps)

@@ -33,7 +33,6 @@ from ..combinat import (
 )
 from ..exactla import (
     ChainComplex,
-    Matrix,
     RationalComplexHomology,
     SparseMatrix,
     VectorReducer,
@@ -201,16 +200,17 @@ class CubeStage:
         return SparseMatrix(tgt_q.dim, src_q.dim, columns)
 
 
-def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> Matrix:
+def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> SparseMatrix:
     """Degree-0 homology matrix of a quotient-level map ``t`` from ``src`` to
     ``tgt``, in their homology bases."""
-    cols = [tgt.homology.express(0, t.apply(rep)) for rep in src.homology.rep_vectors[0]]
-    return Matrix.from_rows(
-        [[col[i] for col in cols] for i in range(tgt.homology.dims()[0])], len(cols)
-    )
+    columns = []
+    for rep in src.homology.rep_vectors[0]:
+        coords = tgt.homology.express(0, t.apply(rep))
+        columns.append({i: x for i, x in enumerate(coords) if x})
+    return SparseMatrix(tgt.homology.dims()[0], len(columns), columns)
 
 
-def _homology_basis_map(stage: CubeStage, nxt: CubeStage) -> Matrix:
+def _homology_basis_map(stage: CubeStage, nxt: CubeStage) -> SparseMatrix:
     """Degree-0 homology matrix of the standard-inclusion transition."""
     return _homology_map(stage.transition_to(nxt), stage, nxt)
 
@@ -376,7 +376,7 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int):
     return src, tgt, _homology_map(t, src, tgt)
 
 
-def coefficient_transition(module: FIModule, f: Injection, k: int) -> Matrix:
+def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatrix:
     """Matrix of the induced map on degree-0 stable homology, in the
     homology bases of the stage-k cubes at source and target size.
 
@@ -395,7 +395,7 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> Matrix:
         src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
         s_src = _homology_basis_map(src, src_next)
         s_tgt = _homology_basis_map(tgt, tgt_next)
-        if mat_next @ s_src != s_tgt @ mat:
+        if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
             raise InstabilityError(
                 "transition matrices at consecutive stages disagree under the "
                 "stabilization maps (stage too small)"
@@ -421,7 +421,7 @@ class CoefficientProfile:
 
     module_name: str
     coefficients: tuple[GradedCoefficient, ...]
-    transitions: tuple[Matrix, ...]
+    transitions: tuple[SparseMatrix, ...]
 
     @property
     def max_index(self) -> int:
@@ -431,6 +431,8 @@ class CoefficientProfile:
 def coefficient_profile(module: FIModule, max_index: int | None = None) -> CoefficientProfile:
     if max_index is None:
         max_index = module.generation_bound
+    if max_index < 0:
+        raise ValueError(f"coefficient index bound must be non-negative, got {max_index}")
     coefficients = tuple(taylor_coefficient(module, n) for n in range(max_index + 1))
     transitions = []
     for n in range(max_index):

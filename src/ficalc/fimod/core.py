@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..combinat import (
     Injection,
     factor_injection,
     word_from_permutation,
 )
-from ..exactla import Matrix, SparseMatrix
+from ..exactla import SparseMatrix
 from ..symrep import Partition, SpechtRepresentation, check_partition
 
 
@@ -133,15 +132,10 @@ class FIModule:
         return self.apply_permutation(f.target_size, sigma.values, vec)
 
 
-def evaluate(module: FIModule, f: Injection) -> Matrix:
-    """The dense matrix of E(f)."""
-    src, tgt = f.source_size, f.target_size
-    cols = [module.apply_injection(f, {b: Fraction(1)}) for b in range(module.dim(src))]
-    entries = [Fraction(0)] * (module.dim(tgt) * module.dim(src))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            entries[i * module.dim(src) + j] = v
-    return Matrix(module.dim(tgt), module.dim(src), entries)
+def evaluate(module: FIModule, f: Injection) -> SparseMatrix:
+    """The matrix of E(f)."""
+    columns = [module.apply_injection(f, {b: 1}) for b in range(module.dim(f.source_size))]
+    return SparseMatrix(module.dim(f.target_size), len(columns), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ n at least the generation bound the comparison map to E(k) is an
 isomorphism; the cokernel/kernel of consecutive truncations isolate the
 "new in degree n" layer.
 
+Both maps are read off the colimit's complement: the colimit is a cokernel
+whose projection is the identity on a set of vertex basis vectors, so
+column q of the comparison map (or of the layer map between consecutive
+truncations) is the image of the q-th complement vector.  The comparison
+map then checks every other vertex basis vector, which is where a module
+that is not functorial shows up.
+
 Polynomiality is tested cube by cube: a module is n-polynomial when every
 standard (n+1)-dimensional cube of inclusions inside the window has an
 acyclic total complex.
@@ -17,14 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..combinat import Injection, enumerate_injections, standard_cubes
-from ..exactla import (
-    Matrix,
-    SparseMatrix,
-    poset_colimit,
-    rank,
-    solve_columns,
-    sparse_rank,
-)
+from ..exactla import PosetColimit, SparseMatrix, poset_colimit, rank
 from .coefficients import _insertion, _insertion_sign
 from .core import FIModule, WindowError, evaluate
 
@@ -40,7 +40,7 @@ def _subset_poset(k: int, n: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class TruncationResult:
     dimension: int
-    comparison: Matrix
+    comparison: SparseMatrix
     is_isomorphism: bool
 
 
@@ -61,26 +61,42 @@ def _colimit_over_subsets(module: FIModule, n: int, k: int):
     return vertices, poset_colimit(dims, covers)
 
 
+def _read_off(colim: PosetColimit, blocks: list[SparseMatrix], rows: int) -> SparseMatrix:
+    """The map out of the colimit whose column q is the ``blocks`` column (one
+    block per vertex, in vertex order) of the q-th complement vector: the
+    first vertex basis vector whose image reaches row q."""
+    columns = []
+    for psi, block in zip(colim.structure_maps, blocks):
+        for image, value in zip(psi.columns, block.columns):
+            if len(columns) in image:
+                columns.append(value)
+    return SparseMatrix(rows, colim.dimension, columns)
+
+
 def q_truncation(module: FIModule, n: int, k: int) -> TruncationResult:
-    """Level-n truncation at degree k with its comparison map into E(k)."""
+    """Level-n truncation at degree k with its comparison map into E(k);
+    raises ``ValueError`` when the maps E(incl_S) do not factor through the
+    colimit (E is not functorial)."""
     if not 0 <= k <= module.max_degree:
         raise WindowError(f"degree {k} outside window 0..{module.max_degree}")
     vertices, colim = _colimit_over_subsets(module, n, k)
-    # comparison c: colimit -> E(k), determined by c . psi_S = E(incl_S)
-    psi = None
-    target = None
-    for v, structure in zip(vertices, colim.structure_maps):
-        block = evaluate(module, Injection(len(v), k, v))
-        psi = structure if psi is None else psi.hstack(structure)
-        target = block if target is None else target.hstack(block)
-    comparison = solve_columns(psi.transpose(), target.transpose()).transpose()
+    blocks = [evaluate(module, Injection(len(v), k, v)) for v in vertices]
+    comparison = _read_off(colim, blocks, module.dims[k])
+    for psi, block in zip(colim.structure_maps, blocks):
+        for image, value in zip(psi.columns, block.columns):
+            if comparison.apply(image) != value:
+                raise ValueError(
+                    f"{module.name} is not functorial: its maps into degree {k} "
+                    f"do not factor through the level-{n} colimit"
+                )
     iso = colim.dimension == module.dims[k] and rank(comparison) == colim.dimension
     return TruncationResult(colim.dimension, comparison, iso)
 
 
 def cohomogeneous_layer(module: FIModule, n: int, k: int) -> tuple[int, int]:
     """Cokernel and kernel dimensions of the truncation step n-1 -> n at
-    degree k."""
+    degree k.  The layer map needs no check: every relation of the small
+    colimit is one of the big colimit."""
     if n < 1:
         raise ValueError("layer index must be at least 1")
     if not 0 <= k <= module.max_degree:
@@ -88,14 +104,8 @@ def cohomogeneous_layer(module: FIModule, n: int, k: int) -> tuple[int, int]:
     small_vertices, small = _colimit_over_subsets(module, n - 1, k)
     big_vertices, big = _colimit_over_subsets(module, n, k)
     big_index = {v: i for i, v in enumerate(big_vertices)}
-    psi = None
-    target = None
-    for v, structure in zip(small_vertices, small.structure_maps):
-        t_map = big.structure_maps[big_index[v]]
-        psi = structure if psi is None else psi.hstack(structure)
-        target = t_map if target is None else target.hstack(t_map)
-    induced = solve_columns(psi.transpose(), target.transpose()).transpose()
-    r = rank(induced)
+    blocks = [big.structure_maps[big_index[v]] for v in small_vertices]
+    r = rank(_read_off(small, blocks, big.dimension))
     return big.dimension - r, small.dimension - r
 
 
@@ -161,7 +171,7 @@ def _cube_betti(module: FIModule, base, extension) -> tuple[int, ...]:
                     w = module.apply_injection(inj, {col: 1})
                     for r, v in w.items():
                         mat.set(tgt_off + r, src_off + col, sign * v)
-        ranks.append(sparse_rank(mat))
+        ranks.append(rank(mat))
     betti = []
     for i in range(dim + 1):
         cycles = sizes[i] - (ranks[i - 1] if i > 0 else 0)
@@ -209,4 +219,4 @@ def pn_representable(m: int, n: int, k: int) -> int:
                 columns[offs[si] + col][row_base + col] = -1
             row_base += dims[si]
     constraint = SparseMatrix(row_base, total, columns)
-    return total - sparse_rank(constraint)
+    return total - rank(constraint)

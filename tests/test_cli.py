@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ficalc import symrep
-from ficalc.cli import main
+from ficalc.cli import full_report, main
 from ficalc.symrep import gn_dimension, kostka
 
 
@@ -221,6 +221,30 @@ def test_failed_cross_check_exits_1_with_message(capsys, monkeypatch):
 
 def test_report_guard(capsys):
     assert main(["report", "--n-max", "6", "--k-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("n_max,k_max", [("-1", "3"), ("2", "-1")])
+def test_report_rejects_negative_scales(capsys, n_max, k_max):
+    assert main(["report", "--n-max", n_max, "--k-max", k_max]) == 2
+    assert "--n-max >= 0 and --k-max >= 0" in capsys.readouterr().err
+
+
+def test_report_passes_at_every_small_window():
+    # scales whose windows cannot hold some cell's module emit no such cell
+    for n_max in range(0, 6):
+        for k_max in range(0, 4):
+            doc, _, passed = full_report(n_max, k_max)
+            failing = [c for s in doc["sections"] for c in s["cells"] if not c["passed"]]
+            assert passed and not failing, (n_max, k_max, failing)
+
+
+@pytest.mark.parametrize("command", [["predict", "--k", "3", "--max-index", "-1"], ["coefficients", "--max-index", "-2"]])
+def test_negative_max_index_is_a_usage_error(tmp_path, capsys, command):
+    path = make_module_file(
+        tmp_path, capsys, "representable", "--n", "1", "--max-degree", "4"
+    )
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 json_values = st.recursive(

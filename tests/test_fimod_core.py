@@ -96,10 +96,10 @@ def test_representable_inclusion_is_identity_on_values(f2):
 
 def test_evaluate_identity_and_functoriality(f2):
     for k in range(f2.max_degree + 1):
-        assert evaluate(f2, identity_injection(k)) == Matrix.identity(f2.dim(k))
+        assert evaluate(f2, identity_injection(k)).to_matrix() == Matrix.identity(f2.dim(k))
     f = Injection(2, 4, (3, 1))
     g = Injection(4, 5, (2, 0, 4, 1))
-    assert evaluate(f2, compose(g, f)) == evaluate(f2, g) @ evaluate(f2, f)
+    assert evaluate(f2, compose(g, f)).to_matrix() == evaluate(f2, g).compose(evaluate(f2, f)).to_matrix()
 
 
 @st.composite
@@ -117,7 +117,10 @@ def composable_pairs_in_window(draw, window=5):
 def test_functoriality_random_pairs(pair):
     module = representable(2, 5)
     f, g = pair
-    assert evaluate(module, compose(g, f)) == evaluate(module, g) @ evaluate(module, f)
+    assert (
+        evaluate(module, compose(g, f)).to_matrix()
+        == evaluate(module, g).compose(evaluate(module, f)).to_matrix()
+    )
 
 
 @given(composable_pairs_in_window())
@@ -125,7 +128,10 @@ def test_functoriality_random_pairs(pair):
 def test_free_module_functoriality(pair):
     module = free_module((2, 1), 5)
     f, g = pair
-    assert evaluate(module, compose(g, f)) == evaluate(module, g) @ evaluate(module, f)
+    assert (
+        evaluate(module, compose(g, f)).to_matrix()
+        == evaluate(module, g).compose(evaluate(module, f)).to_matrix()
+    )
 
 
 def test_injectivity_of_structure_maps():

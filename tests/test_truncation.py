@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from ficalc.exactla import rank
+from ficalc.exactla import SparseMatrix, rank
 from ficalc.fimod import (
+    FIModule,
     WindowError,
     cohomogeneous_layer,
     free_module,
@@ -51,6 +52,19 @@ def test_truncation_exhausts_at_generation_bound():
         n = module.generation_bound
         for k in range(module.max_degree + 1):
             assert q_truncation(module, n, k).is_isomorphism
+
+
+def test_truncation_rejects_non_functorial_module():
+    # the sign module of test_validate_rejects_sign_module: E(incl) into
+    # degree 2 does not factor through the level-1 colimit
+    k_max = 5
+    transpositions = [
+        [SparseMatrix(1, 1, [{0: -1}]) for _ in range(max(k - 1, 0))] for k in range(k_max + 1)
+    ]
+    inclusions = [SparseMatrix(1, 1, [{0: 1}]) for _ in range(k_max)]
+    sign = FIModule("sign", k_max, 0, [1] * (k_max + 1), transpositions, inclusions)
+    with pytest.raises(ValueError, match="do not factor"):
+        q_truncation(sign, 1, 2)
 
 
 def test_truncation_degree_out_of_window():
