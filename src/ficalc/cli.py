@@ -29,10 +29,10 @@ from .fimod import (
     coefficient_profile,
     delta_coefficient_shift_check,
     dictionary_prediction,
+    dumps_module,
     free_module,
     is_polynomial,
     load_module,
-    module_to_json,
     q_truncation,
     representable,
     representation_stability_check,
@@ -137,7 +137,9 @@ def _render_csv(tables: list) -> str:
     return buf.getvalue()
 
 
-def _render(fmt: str, doc: dict, heading: str, tables: list) -> str:
+def _render(fmt: str, doc, heading: str, tables: list) -> str:
+    if isinstance(doc, str):  # a module document, already laid out
+        return doc
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "markdown":
@@ -181,7 +183,8 @@ def _decomposition_payload(decomposition):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (doc, heading, tables, exit_code)
+# command handlers: each returns (doc, heading, tables, exit_code); the module
+# generators return their document as finished text (``dumps_module``)
 # ---------------------------------------------------------------------------
 
 
@@ -213,7 +216,7 @@ def _cmd_validate(args):
 def _module_document(args, module):
     if args.format != "json":
         raise UsageError("module generation emits the JSON interchange format only")
-    return module_to_json(module), module.name, [], 0
+    return dumps_module(module), module.name, [], 0
 
 
 def _cmd_representable(args):

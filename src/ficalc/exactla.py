@@ -9,7 +9,9 @@ and unimodular transforms) and for Specht representation matrices.
 
 All rational elimination runs on one engine, ``VectorReducer``, whose rows
 are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
-``cokernel`` and ``RationalComplexHomology`` read their answers off it.
+``cokernel`` and ``RationalComplexHomology`` read their answers off it.  Unit
+seeds are ``int`` and a pivot of -1 negates its row, so integral input whose
+pivots are all ±1 is eliminated in ``int`` arithmetic.
 Integer work (Smith normal form, torsion) runs on ``_SnfWorker``.
 """
 
@@ -130,7 +132,7 @@ class Matrix:
 # sparse vectors / matrices
 # ---------------------------------------------------------------------------
 
-SparseVec = dict  # index -> int or Fraction, zero entries absent
+SparseVec = dict  # index -> int or Fraction (int while integral), zero entries absent
 
 
 def vec_add(u: SparseVec, v: SparseVec, c=1) -> SparseVec:
@@ -146,14 +148,23 @@ def vec_add(u: SparseVec, v: SparseVec, c=1) -> SparseVec:
 
 
 class SparseMatrix:
-    """Column-sparse exact matrix: one dict {row: value} per column."""
+    """Column-sparse exact matrix: one dict {row: value} per column.
+
+    The constructor and ``set`` drop zero entries; code that writes
+    ``columns`` directly stores none either, so a column never holds one.
+    """
 
     __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: Sequence[dict] | None = None):
         self.rows = rows
         self.cols = cols
-        self.columns = [dict() for _ in range(cols)] if columns is None else [dict(c) for c in columns]
+        if columns is None:
+            self.columns = [dict() for _ in range(cols)]
+        else:
+            self.columns = [
+                c.copy() if all(c.values()) else {i: x for i, x in c.items() if x} for c in columns
+            ]
         if len(self.columns) != cols:
             raise ShapeMismatchError("column count mismatch")
 
@@ -178,16 +189,28 @@ class SparseMatrix:
         return Matrix(self.rows, self.cols, entries)
 
     def set(self, i: int, j: int, value) -> None:
-        value = _coerce(value)
+        if not isinstance(value, int):  # an int entry stays int
+            value = _coerce(value)
         if value:
             self.columns[j][i] = value
         else:
             self.columns[j].pop(i, None)
 
     def apply(self, vec: SparseVec) -> SparseVec:
-        """Matrix-vector product for a sparse vector (dict of column coords)."""
-        out: SparseVec = {}
-        for j, c in vec.items():
+        """Matrix-vector product for a sparse vector (dict of column coords).
+
+        The output starts as the first column times its coefficient (a copy
+        of the column when that is 1, as for the unit vectors of structure
+        maps) and the remaining columns are merged into it.
+        """
+        items = iter(vec.items())
+        for j, c in items:
+            col = self.columns[j]
+            out: SparseVec = dict(col) if c == 1 else {i: c * x for i, x in col.items()}
+            break
+        else:
+            return {}
+        for j, c in items:
             for i, x in self.columns[j].items():
                 y = out.get(i, 0) + c * x
                 if y:
@@ -216,6 +239,11 @@ class VectorReducer:
     support below its pivot, so the rows sorted by pivot are exactly the
     reduced row echelon form of the span: deterministic and independent of
     insertion order and dict ordering.
+
+    A new row whose pivot entry is -1 is negated; only a pivot entry other
+    than 1 and -1 divides the row, through ``Fraction``.  So rows stay
+    ``int`` while every pivot met is a unit, as in the integral spans of
+    coinvariant quotients, kernels and cokernels of 0/±1 matrices.
     """
 
     def __init__(self):
@@ -251,14 +279,23 @@ class VectorReducer:
                     v.pop(i, None)
         return v
 
+    def freeze(self) -> None:
+        """Drop the index only ``insert`` reads, for a reducer kept to reduce
+        against; ``reduce`` keeps working and ``insert`` raises."""
+        self._where = None
+
     def insert(self, vec: SparseVec) -> int | None:
         """Insert a vector; returns the new pivot, or None if dependent."""
+        if self._where is None:
+            raise RuntimeError("cannot insert into a frozen VectorReducer")
         v = self.reduce(vec)
         if not v:
             return None
         p = min(v)
         inv = v[p]
-        if inv != 1:
+        if inv == -1:
+            v = {i: -x for i, x in v.items()}
+        elif inv != 1:
             v = {i: Fraction(x) / inv for i, x in v.items()}
         # eliminate the new pivot coordinate from existing rows
         touching = self._where.get(p)
@@ -307,7 +344,7 @@ def _tagged_insert(red: VectorReducer, vec: SparseVec, space: int, tag: int) -> 
     """
     rem = red.reduce(vec)
     if rem and min(rem) < space:
-        rem[tag] = Fraction(1)
+        rem[tag] = 1
         red.insert(rem)
         return None
     return rem
@@ -333,7 +370,7 @@ def kernel_basis(a: SparseMatrix) -> SparseMatrix:
     pivots = set(red.pivots())
     free = [c for c in range(a.cols) if c not in pivots]
     index = {f: k for k, f in enumerate(free)}
-    columns: list[SparseVec] = [{f: Fraction(1)} for f in free]
+    columns: list[SparseVec] = [{f: 1} for f in free]
     for p, row in red.rows():
         for f, x in row.items():
             if f != p:
@@ -355,9 +392,9 @@ def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
     q = 0
     columns: list[SparseVec] = []  # column j: e_j in the chosen complement
     for j in range(a.rows):
-        rem = _tagged_insert(red, {j: Fraction(1)}, a.rows, a.rows + q)
+        rem = _tagged_insert(red, {j: 1}, a.rows, a.rows + q)
         if rem is None:
-            columns.append({q: Fraction(1)})
+            columns.append({q: 1})
             q += 1
         else:
             columns.append({t - a.rows: -x for t, x in rem.items()})
@@ -693,7 +730,7 @@ class RationalComplexHomology:
             if i > 0:
                 cycles = kernel_basis(c.differentials[i - 1]).columns
             else:
-                cycles = [{j: Fraction(1)} for j in range(d)]
+                cycles = [{j: 1} for j in range(d)]
             red = _span(c.differentials[i].columns if i < n - 1 else ())
             reps: list[SparseVec] = []
             for z in cycles:
@@ -760,7 +797,7 @@ def poset_colimit(
             )
         for b, col in enumerate(e.columns):
             shifted = {offs[t] + r: x for r, x in col.items()}
-            relations.append(vec_add({offs[s] + b: Fraction(1)}, shifted, -1))
+            relations.append(vec_add({offs[s] + b: 1}, shifted, -1))
     dim, proj = cokernel(SparseMatrix(total, len(relations), relations))
     maps = tuple(
         SparseMatrix(dim, d, proj.columns[offs[v] : offs[v] + d]) for v, d in enumerate(vertex_dims)

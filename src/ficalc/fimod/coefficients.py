@@ -56,6 +56,7 @@ class CoinvariantQuotient:
                 w = vec_add({b: 1}, g.apply({b: 1}), -1)
                 if w:
                     reducer.insert(w)
+        reducer.freeze()  # ``project`` only reduces
         pivots = set(reducer.pivots())
         self.reducer = reducer
         self.free = tuple(c for c in range(d) if c not in pivots)

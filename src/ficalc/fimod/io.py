@@ -10,8 +10,9 @@ string.  Anything else is rejected with a message naming the offending field.
 Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
 an integral module stays in ``int`` arithmetic.  Loading visits only the
 nonzero entries once a whole entry list is known to hold nothing but ints and
-non-empty strings.  A saved file holds exactly the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; the lists of
+non-empty strings.  A saved file, and the text of ``dumps_module`` that
+``fi-calc representable`` and ``fi-calc free`` print, holds exactly the bytes
+of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; the lists of
 scalars are rendered by the C encoder, which ``indent`` would switch off.
 """
 
@@ -94,9 +95,15 @@ def _dumps(value, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
+def dumps_module(module: FIModule) -> str:
+    """The module's document as text: ``json.dumps(module_to_json(module),
+    indent=2, sort_keys=True)`` and a newline."""
+    return _dumps(module_to_json(module), "\n") + "\n"
+
+
 def save_module(module: FIModule, path) -> None:
     """Write the module to ``path``; identical modules produce identical bytes."""
-    Path(path).write_text(_dumps(module_to_json(module), "\n") + "\n")
+    Path(path).write_text(dumps_module(module))
 
 
 def _expect_natural(value, what: str) -> int:

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from ficalc.combinat import Injection, standard_inclusion
-from ficalc.exactla import Matrix, homology, rank
+from ficalc.exactla import Matrix, VectorReducer, homology, rank, vec_add
 from ficalc.fimod import (
     NotStabilizedError,
     WindowError,
@@ -18,6 +18,7 @@ from ficalc.fimod import (
     taylor_coefficient,
     zero_module,
 )
+from ficalc.fimod.coefficients import CoinvariantQuotient
 from ficalc.symrep import decompose_class_function, partitions_of
 
 
@@ -84,6 +85,30 @@ def test_coefficient_not_stabilized_reports_trajectory():
         taylor_coefficient(free_module((1, 1), 4), 2)
     trajectory = info.value.trajectory
     assert trajectory == [{"stage": 2, "dims": (1, 0, 0)}]
+
+
+def test_coinvariant_quotients_stay_int_and_project_as_before():
+    """Every quotient of representable(3, 7) is spanned by v - g.v with 0/1
+    matrices, so its rows stay int; dropping the insert index once built
+    leaves ``project`` equal to reduction by an unfrozen reducer."""
+    E = representable(3, 7)
+    for s in range(4):
+        for k in range(8 - s):
+            q = CoinvariantQuotient(E, s, k)
+            with pytest.raises(RuntimeError):
+                q.reducer.insert({0: 1})
+            for _, row in q.reducer.rows():
+                assert all(type(x) is int for x in row.values())
+            live = VectorReducer()
+            gens = E.transpositions[s + k]
+            for gi in range(s + 1, s + k):
+                for b in range(E.dims[s + k]):
+                    w = vec_add({b: 1}, gens[gi - 1].apply({b: 1}), -1)
+                    if w:
+                        live.insert(w)
+            for b in range(E.dims[s + k]):
+                rem = live.reduce({b: 1})
+                assert q.project({b: 1}) == {q.index[c]: x for c, x in rem.items()}
 
 
 def test_transition_along_identity_is_identity():

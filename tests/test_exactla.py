@@ -107,6 +107,20 @@ def test_sparse_roundtrip_and_apply():
     assert rank(s) == 2
     s.set(0, 0, 0)
     assert s.nnz() == 3
+    s.set(2, 1, 3)
+    assert type(s.columns[1][2]) is int
+    with pytest.raises(TypeError):
+        s.set(0, 0, 0.5)
+
+
+def test_sparse_matrix_drops_explicit_zeros():
+    s = SparseMatrix(1, 1, [{0: 0}])
+    assert s.columns == [{}]
+    assert s.apply({0: 1}) == {}
+    for integral in (False, True):
+        with_zero = homology(ChainComplex((1, 1), (s,)), integral=integral)
+        zero = homology(ChainComplex((1, 1), (SparseMatrix(1, 1),)), integral=integral)
+        assert with_zero == zero
 
 
 def test_sparse_compose_matches_dense():
@@ -131,6 +145,70 @@ def test_vector_reducer():
     assert red.contains({0: Fraction(1)})
     assert not red.contains({2: Fraction(1)})
     assert red.reduce({0: Fraction(1), 2: Fraction(1)}) == {2: Fraction(1)}
+
+
+def test_unit_pivots_keep_rows_int():
+    # the vertex-edge incidence matrix of K_5 is totally unimodular, so every
+    # pivot met is 1 or -1 and no row needs a division
+    edges = list(itertools.combinations(range(5), 2))
+    red = VectorReducer()
+    for a, b in edges:
+        red.insert({a: -1, b: 1})
+    for b in range(5):
+        red.insert({b: -1})
+    assert red.rank == 5
+    for _, row in red.rows():
+        assert all(type(x) is int for x in row.values())
+    incidence = SparseMatrix(5, len(edges), [{a: -1, b: 1} for a, b in edges])
+    for m in (kernel_basis(incidence), cokernel(incidence)[1]):
+        assert all(type(x) is int for col in m.columns for x in col.values())
+    # a pivot entry other than 1 and -1 still divides through Fraction
+    red = VectorReducer()
+    red.insert({0: 2, 1: 1})
+    assert dict(red.rows()) == {0: {0: 1, 1: Fraction(1, 2)}}
+
+
+def test_frozen_reducer_reduces_but_refuses_inserts():
+    red = VectorReducer()
+    red.insert({0: 1, 1: 1})
+    red.freeze()
+    assert red.reduce({0: 1, 2: 1}) == {1: -1, 2: 1}
+    with pytest.raises(RuntimeError):
+        red.insert({2: 1})
+
+
+def _fraction_rref(vectors, width):
+    """Reduced row echelon form of the span, by plain Gauss-Jordan elimination
+    over Fraction, as {pivot: row} with rows as sparse dicts."""
+    rows = [[Fraction(v.get(i, 0)) for i in range(width)] for v in vectors]
+    rank = 0
+    for col in range(width):
+        at = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        pivot = rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                rows[r] = [x - row[col] * y for x, y in zip(row, pivot)]
+        rank += 1
+    sparse = ({i: x for i, x in enumerate(row) if x} for row in rows[:rank])
+    return {min(row): row for row in sparse}
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4),
+        max_size=7,
+    )
+)
+@settings(max_examples=150)
+def test_reducer_rows_equal_fraction_rref(vectors):
+    red = VectorReducer()
+    for v in vectors:
+        if v:
+            red.insert(v)
+    assert dict(red.rows()) == _fraction_rref(vectors, 6)
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -212,6 +212,18 @@ def test_free_command_prints_the_saved_bytes(tmp_path, capsys):
     assert printed.encode() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["representable", "--n", "2", "--max-degree", "5"], representable(2, 5)),
+        (["free", "--lambda", "2,1", "--max-degree", "5"], free_module((2, 1), 5)),
+    ],
+)
+def test_generator_commands_print_the_indented_sorted_dump(argv, module, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == _pinned_bytes(module)
+
+
 @pytest.mark.parametrize("bad", [False, 0.0, None, "", "0/1", "0/3"])
 def test_first_bad_entry_after_leading_zeros_is_named(doc, bad):
     entries = doc["transpositions"]["3"][0]["entries"]
