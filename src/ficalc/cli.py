@@ -162,7 +162,7 @@ def _guard(args, **named) -> None:
     for name, (value, limit) in named.items():
         if value > limit:
             raise UsageError(
-                f"--{name} {value} exceeds the default guard {limit}; "
+                f"--{name.replace('_', '-')} {value} exceeds the default guard {limit}; "
                 "pass --allow-large to override"
             )
 
@@ -225,7 +225,7 @@ def _cmd_representable(args):
 
 
 def _cmd_free(args):
-    _guard(args, **{"lambda": (sum(args.lam), GUARD_N), "max-degree": (args.max_degree, GUARD_K)})
+    _guard(args, **{"lambda": (sum(args.lam), GUARD_N)}, max_degree=(args.max_degree, GUARD_K))
     return _module_document(args, free_module(args.lam, args.max_degree))
 
 

@@ -190,61 +190,6 @@ def conjugacy_class_word(cycle_type_: tuple[int, ...]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# standard cubes of subsets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubsetCube:
-    """The cube of subsets between ``base`` and ``base U extension``."""
-
-    base: tuple[int, ...]
-    extension: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(sorted(self.base)))
-        object.__setattr__(self, "extension", tuple(sorted(self.extension)))
-        if set(self.base) & set(self.extension):
-            raise ValueError("base and extension must be disjoint")
-        if len(set(self.base)) != len(self.base) or len(set(self.extension)) != len(self.extension):
-            raise ValueError("repeated elements")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.extension)
-
-    def vertices(self) -> list[tuple[int, ...]]:
-        """All subsets T with base <= T <= base U extension, by extension subset.
-
-        Ordered by (size, lexicographic) of the added extension part.
-        """
-        out = []
-        for r in range(len(self.extension) + 1):
-            for extra in itertools.combinations(self.extension, r):
-                out.append(tuple(sorted(self.base + extra)))
-        return out
-
-
-def standard_cubes(window: int, cube_dim: int) -> list[SubsetCube]:
-    """One representative cube per base size fitting inside {0..window-1}.
-
-    The representative with base size b is base {0..b-1}, extension
-    {b..b+cube_dim-1}.  Returns [] when the window is too small for any cube.
-
-    >>> standard_cubes(2, 3)
-    []
-    >>> [c.base for c in standard_cubes(4, 2)]
-    [(), (0,), (0, 1)]
-    """
-    if cube_dim < 1:
-        raise ValueError("cube dimension must be at least 1")
-    out = []
-    for b in range(window - cube_dim + 1):
-        out.append(SubsetCube(tuple(range(b)), tuple(range(b, b + cube_dim))))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the poset of partial matchings between two finite sets
 # ---------------------------------------------------------------------------
 

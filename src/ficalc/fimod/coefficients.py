@@ -4,7 +4,10 @@ For a module E and cube size n, the stage-k complex has, in homological
 degree i, one summand E(|S| + k) for each subset S of {0..n-1} with
 |S| = n - i (the full subset sits in degree 0).  The differential out of
 the summand at S inserts each missing element x with sign
-(-1)^{#{y in S : y < x}}.
+(-1)^{#{y in S : y < x}}.  One assembler, ``_cube_complex``, lays out
+every such complex: ``CubeStage`` passes the coinvariant quotients below,
+``delta_complex`` the full summands, and ``is_polynomial`` reads the
+acyclicity of the full cubes.
 
 Over the rationals, coinvariants by the tail symmetric group are exact,
 so the stage homology is computed on the quotient complex where each
@@ -104,6 +107,41 @@ def _complement_sign(perm: tuple[int, ...], subset: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
+def _cube_complex(module: FIModule, cube: int, k: int, basis, project):
+    """The stage-k cube complex: the summand at S spans ``basis(|S|)`` in
+    E(|S| + k), and ``project(s, w)`` gives the coordinates of a vector w of
+    E(s + k) on ``basis(s)``.  Returns the subsets of each degree, their
+    offsets and the complex."""
+    summands = [list(itertools.combinations(range(cube), cube - i)) for i in range(cube + 1)]
+    offsets = []
+    dims = []
+    for level in summands:
+        off = {}
+        total = 0
+        for subset in level:
+            off[subset] = total
+            total += len(basis(len(subset)))
+        offsets.append(off)
+        dims.append(total)
+    differentials = []
+    for i in range(cube):
+        columns = [{} for _ in range(dims[i + 1])]
+        for subset in summands[i + 1]:
+            s = len(subset)
+            src_off = offsets[i + 1][subset]
+            for x in (x for x in range(cube) if x not in subset):
+                sign = _insertion_sign(subset, x)
+                inj = _insertion(subset, x, k)
+                tgt_off = offsets[i][tuple(sorted(subset + (x,)))]
+                for local, b in enumerate(basis(s)):
+                    w = module.apply_injection(inj, {b: 1})
+                    columns[src_off + local].update(
+                        (tgt_off + r, sign * v) for r, v in project(s + 1, w).items()
+                    )
+        differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
+    return summands, offsets, ChainComplex(tuple(dims), differentials)
+
+
 class CubeStage:
     """The stage-k coinvariant cube complex of a module, with its homology."""
 
@@ -117,43 +155,15 @@ class CubeStage:
         self.module = module
         self.cube = cube
         self.k = k
-        self.summands = [
-            list(itertools.combinations(range(cube), cube - i)) for i in range(cube + 1)
-        ]
         self.quotients = {s: _quotient(module, s, k) for s in range(cube + 1)}
-        self.offsets = []
-        dims = []
-        for level in self.summands:
-            off = {}
-            total = 0
-            for subset in level:
-                off[subset] = total
-                total += self.quotients[len(subset)].dim
-            self.offsets.append(off)
-            dims.append(total)
-        self.dims = tuple(dims)
-
-        differentials = []
-        for i in range(cube):
-            columns = [{} for _ in range(dims[i + 1])]
-            for subset in self.summands[i + 1]:
-                s = len(subset)
-                src_q = self.quotients[s]
-                src_off = self.offsets[i + 1][subset]
-                missing = [x for x in range(cube) if x not in subset]
-                for x in missing:
-                    bigger = tuple(sorted(subset + (x,)))
-                    sign = _insertion_sign(subset, x)
-                    inj = _insertion(subset, x, k)
-                    tgt_q = self.quotients[s + 1]
-                    tgt_off = self.offsets[i][bigger]
-                    for local, b in enumerate(src_q.free):
-                        w = module.apply_injection(inj, {b: 1})
-                        columns[src_off + local].update(
-                            (tgt_off + li, sign * v) for li, v in tgt_q.project(w).items()
-                        )
-            differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
-        self.complex = ChainComplex(self.dims, differentials)
+        self.summands, self.offsets, self.complex = _cube_complex(
+            module,
+            cube,
+            k,
+            lambda s: self.quotients[s].free,
+            lambda s, w: self.quotients[s].project(w),
+        )
+        self.dims = self.complex.dims
         self.homology = RationalComplexHomology(self.complex)
 
     # -- symmetric-group action on the cube coordinates ------------------
@@ -459,29 +469,4 @@ def delta_complex(module: FIModule, n: int, k: int) -> ChainComplex:
         raise ValueError("cube size and stage must be non-negative")
     if n + k > module.max_degree:
         raise WindowError(f"degree {n + k} outside window {module.max_degree}")
-    summands = [list(itertools.combinations(range(n), n - i)) for i in range(n + 1)]
-    offsets = []
-    dims = []
-    for level in summands:
-        off = {}
-        total = 0
-        for subset in level:
-            off[subset] = total
-            total += module.dims[len(subset) + k]
-        offsets.append(off)
-        dims.append(total)
-    differentials = []
-    for i in range(n):
-        columns = [{} for _ in range(dims[i + 1])]
-        for subset in summands[i + 1]:
-            src_off = offsets[i + 1][subset]
-            for x in (x for x in range(n) if x not in subset):
-                bigger = tuple(sorted(subset + (x,)))
-                sign = _insertion_sign(subset, x)
-                inj = _insertion(subset, x, k)
-                tgt_off = offsets[i][bigger]
-                for b in range(module.dims[len(subset) + k]):
-                    w = module.apply_injection(inj, {b: 1})
-                    columns[src_off + b].update((tgt_off + r, sign * v) for r, v in w.items())
-        differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
-    return ChainComplex(tuple(dims), differentials)
+    return _cube_complex(module, n, k, lambda s: range(module.dims[s + k]), lambda s, w: w)[2]

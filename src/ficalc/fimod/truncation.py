@@ -13,9 +13,12 @@ truncations) is the image of the q-th complement vector.  The comparison
 map then checks every other vertex basis vector, which is where a module
 that is not functorial shows up.
 
-Polynomiality is tested cube by cube: a module is n-polynomial when every
-standard (n+1)-dimensional cube of inclusions inside the window has an
-acyclic total complex.
+Polynomiality is tested cube by cube: a module is n-polynomial when, for
+every stage b with n + 1 + b inside the window, the stage-b (n+1)-cube
+complex of ``delta_complex`` is acyclic.  That complex is the total complex
+of the cube of inclusions from {0..b-1} to {0..n+b} with the b fixed points
+placed after the cube coordinates: each summand's basis is renamed by a
+permutation, which leaves the homology unchanged.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..combinat import Injection, enumerate_injections, standard_cubes
-from ..exactla import PosetColimit, SparseMatrix, poset_colimit, rank
-from .coefficients import _insertion, _insertion_sign
+from ..combinat import Injection, enumerate_injections
+from ..exactla import PosetColimit, SparseMatrix, homology, poset_colimit, rank
+from .coefficients import _insertion, delta_complex
 from .core import FIModule, WindowError, evaluate
 
 
@@ -119,65 +122,20 @@ class PolynomialCertificate:
 
 
 def is_polynomial(module: FIModule, n: int) -> PolynomialCertificate:
-    """Whether every standard (n+1)-cube in the window has an acyclic total
-    complex; failures record (base size, Betti numbers)."""
-    cubes = standard_cubes(module.max_degree, n + 1)
-    if not cubes:
+    """Whether the stage-b (n+1)-cube complex is acyclic for every stage b
+    the window holds; failures record (b, Betti numbers)."""
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    if n + 1 > module.max_degree:
         raise WindowError(
             f"window {module.max_degree} holds no {n + 1}-dimensional standard cube"
         )
     failures = []
-    for cube in cubes:
-        betti = _cube_betti(module, cube.base, cube.extension)
+    for b in range(module.max_degree - n):
+        betti = homology(delta_complex(module, n + 1, b)).betti
         if any(betti):
-            failures.append((len(cube.base), betti))
+            failures.append((b, betti))
     return PolynomialCertificate(not failures, tuple(failures))
-
-
-def _cube_insertion(base, subset, x) -> Injection:
-    """Position map realizing (base u subset) -> (base u subset u {x})."""
-    src = tuple(sorted(tuple(base) + tuple(subset)))
-    tgt = tuple(sorted(src + (x,)))
-    return Injection(len(src), len(tgt), tuple(tgt.index(v) for v in src))
-
-
-def _cube_betti(module: FIModule, base, extension) -> tuple[int, ...]:
-    b = len(base)
-    dim = len(extension)
-    levels = [list(itertools.combinations(extension, dim - i)) for i in range(dim + 1)]
-    offsets = []
-    sizes = []
-    for level in levels:
-        off = {}
-        total = 0
-        for s in level:
-            off[s] = total
-            total += module.dims[b + len(s)]
-        offsets.append(off)
-        sizes.append(total)
-    ranks = []
-    for i in range(dim):
-        mat = SparseMatrix(sizes[i], sizes[i + 1])
-        for s in levels[i + 1]:
-            src_off = offsets[i + 1][s]
-            for x in extension:
-                if x in s:
-                    continue
-                t = tuple(sorted(s + (x,)))
-                sign = _insertion_sign(s, x)
-                inj = _cube_insertion(base, s, x)
-                tgt_off = offsets[i][t]
-                for col in range(module.dims[b + len(s)]):
-                    w = module.apply_injection(inj, {col: 1})
-                    for r, v in w.items():
-                        mat.set(tgt_off + r, src_off + col, sign * v)
-        ranks.append(rank(mat))
-    betti = []
-    for i in range(dim + 1):
-        cycles = sizes[i] - (ranks[i - 1] if i > 0 else 0)
-        boundaries = ranks[i] if i < dim else 0
-        betti.append(cycles - boundaries)
-    return tuple(betti)
 
 
 def pn_representable(m: int, n: int, k: int) -> int:

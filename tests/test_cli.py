@@ -72,9 +72,18 @@ def test_validate_flags_corrupted_module(tmp_path, capsys):
     assert payload["violations"]
 
 
-def test_parameter_guard_and_override(capsys):
+def test_parameter_guard_and_override(tmp_path, capsys):
     assert main(["free", "--lambda", "2,2,2", "--max-degree", "6"]) == 2
-    capsys.readouterr()
+    assert "--lambda 6 exceeds the default guard 5" in capsys.readouterr().err
+    assert main(["free", "--lambda", "2", "--max-degree", "11"]) == 2
+    assert "--max-degree 11 exceeds the default guard 10" in capsys.readouterr().err
+    assert main(["representable", "--n", "1", "--max-degree", "11"]) == 2
+    assert "--max-degree 11 exceeds the default guard 10" in capsys.readouterr().err
+    path = make_module_file(
+        tmp_path, capsys, "representable", "--n", "1", "--max-degree", "4"
+    )
+    assert main(["coefficients", str(path), "--max-index", "6"]) == 2
+    assert "--max-index 6 exceeds the default guard 5" in capsys.readouterr().err
     code, out = run(
         capsys,
         "free", "--lambda", "2,2,2", "--max-degree", "6", "--allow-large",
@@ -221,6 +230,9 @@ def test_failed_cross_check_exits_1_with_message(capsys, monkeypatch):
 
 def test_report_guard(capsys):
     assert main(["report", "--n-max", "6", "--k-max", "3"]) == 2
+    assert "--n-max 6 exceeds the default guard 5" in capsys.readouterr().err
+    assert main(["report", "--n-max", "2", "--k-max", "11"]) == 2
+    assert "--k-max 11 exceeds the default guard 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_max,k_max", [("-1", "3"), ("2", "-1")])

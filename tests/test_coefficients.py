@@ -1,12 +1,21 @@
 """Tests for cross-effect cube homology, coefficients, and transitions."""
 
+import itertools
 from math import factorial
 
 import pytest
 
 from ficalc.combinat import Injection, standard_inclusion
-from ficalc.exactla import Matrix, VectorReducer, homology, rank, vec_add
+from ficalc.exactla import (
+    Matrix,
+    RationalComplexHomology,
+    VectorReducer,
+    homology,
+    rank,
+    vec_add,
+)
 from ficalc.fimod import (
+    CubeStage,
     NotStabilizedError,
     WindowError,
     coefficient_profile,
@@ -176,6 +185,53 @@ def test_dense_cube_complex_shape_and_homology():
     # one-cube at stage 3: E(4) -> E(3)
     assert c.dims == (4, 3)
     assert homology(c).betti == (1, 0)
+
+
+def _tail_trace(module, n, k, solver, tau, degree):
+    """Trace of the tail permutation tau on degree-i homology of the full
+    stage-k cube complex: tau acts on each summand E(s + k), s = n - i,
+    through its last k points."""
+    s = n - degree
+    d = module.dims[s + k]
+    perm = tuple(range(s)) + tuple(s + t for t in tau)
+    trace = 0
+    for j, rep in enumerate(solver.rep_vectors[degree]):
+        image = {}
+        for off in range(0, solver.complex.dims[degree], d):
+            block = {c - off: v for c, v in rep.items() if off <= c < off + d}
+            w = module.apply_permutation(s + k, perm, block)
+            image.update((off + r, x) for r, x in w.items())
+        trace += solver.express(degree, image)[j]
+    return trace
+
+
+def test_coinvariant_cube_is_the_averaged_full_cube():
+    """Over the rationals, the coinvariant homology of the stage-k cube is
+    the S_k-average of the trace of the tail action on the homology of the
+    full cube: dim H_i(CubeStage) = (1/k!) sum_tau tr(tau | H_i(delta))."""
+    modules = [
+        representable(1, 6),
+        representable(2, 6),
+        free_module((1, 1), 6),
+        free_module((2,), 6),
+        free_module((2, 1), 6),
+    ]
+    averaged = 0
+    for module in modules:
+        for n in range(3):
+            for k in range(4):
+                full = RationalComplexHomology(delta_complex(module, n, k))
+                stage = CubeStage(module, n, k)
+                expected = []
+                for degree in range(n + 1):
+                    total = sum(
+                        _tail_trace(module, n, k, full, tau, degree)
+                        for tau in itertools.permutations(range(k))
+                    )
+                    expected.append(total / factorial(k))
+                assert list(stage.homology.dims()) == expected, (module.name, n, k)
+                averaged += full.dims() != stage.homology.dims()
+    assert averaged > 0
 
 
 def test_dense_cube_complex_degenerate_and_errors():

@@ -1,4 +1,4 @@
-"""Injections, transposition words, subset cubes, and matching posets."""
+"""Injections, transposition words, and matching posets."""
 
 import itertools
 import math
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ficalc.combinat import (
     Injection,
     SizeMismatchError,
-    SubsetCube,
     build_poset,
     compose,
     conjugacy_class_word,
@@ -21,7 +20,6 @@ from ficalc.combinat import (
     permutation_from_word,
     permutation_sign,
     poset_size_formula,
-    standard_cubes,
     standard_inclusion,
     word_from_permutation,
 )
@@ -146,23 +144,6 @@ def test_conjugacy_class_word_validation():
         conjugacy_class_word((1, 2))
     with pytest.raises(ValueError):
         conjugacy_class_word((0,))
-
-
-def test_subset_cube_vertices():
-    cube = SubsetCube((0, 3), (1, 5))
-    assert cube.dimension == 2
-    assert cube.vertices() == [(0, 3), (0, 1, 3), (0, 3, 5), (0, 1, 3, 5)]
-    with pytest.raises(ValueError):
-        SubsetCube((0, 1), (1, 2))
-
-
-def test_standard_cubes_layout():
-    cubes = standard_cubes(5, 2)
-    assert [c.base for c in cubes] == [(), (0,), (0, 1), (0, 1, 2)]
-    assert all(c.extension == tuple(range(len(c.base), len(c.base) + 2)) for c in cubes)
-    assert standard_cubes(2, 3) == []
-    with pytest.raises(ValueError):
-        standard_cubes(4, 0)
 
 
 def test_poset_small_examples():

@@ -125,6 +125,18 @@ def test_polynomiality_negative_case_reports_failures():
     assert cert.failures
     for base_size, betti in cert.failures:
         assert any(betti)
+    assert cert.failures == tuple((b, (1, 0)) for b in range(6))
+    pinned = [
+        (representable(2, 6), 1, (2, 0, 0), 5),
+        (free_module((2, 1), 6), 2, (2, 0, 0, 0), 4),
+        (representable(3, 7), 2, (6, 0, 0, 0), 5),
+    ]
+    for module, n, betti, stages in pinned:
+        cert = is_polynomial(module, n)
+        assert not cert.is_polynomial
+        assert cert.failures == tuple((b, betti) for b in range(stages)), module.name
+    with pytest.raises(ValueError):
+        is_polynomial(F1, -1)
 
 
 def test_polynomiality_window_too_small():
