@@ -171,6 +171,11 @@ def conjugacy_class_word(cycle_type_: tuple[int, ...]) -> list[int]:
     The representative permutes consecutive blocks: a part of size c starting
     at position p contributes the word [p+1, ..., p+c-1].
 
+    The words are prefix-closed: dropping the last letter of a nonempty word
+    gives the word of the cycle type that splits one point off the smallest
+    part > 1, so the words of all cycle types of a size form a tree rooted at
+    the identity's empty word.
+
     >>> conjugacy_class_word((3,))
     [1, 2]
     >>> conjugacy_class_word((1, 1))

@@ -669,37 +669,38 @@ class HomologyResult:
     representatives: tuple[SparseMatrix, ...] | None = None
 
 
+def _betti(dims: tuple[int, ...], ranks: list[int]) -> tuple[int, ...]:
+    """Betti numbers from the chain dims and the rank of each differential."""
+    ranks = [0, *ranks, 0]
+    return tuple(d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims))
+
+
 def homology(c: ChainComplex, integral: bool = False, representatives: bool = False) -> HomologyResult:
     """Homology of a validated chain complex.
 
-    Rational mode reports Betti numbers (and optionally representative
-    cycles); integral mode additionally reports the invariant factors > 1 of
-    each incoming differential (the torsion of that degree); Smith normal
-    form reads each differential densely.
+    Rational mode reads the Betti numbers off the rank of each differential,
+    or, when representative cycles are asked for, off the cycles that
+    ``RationalComplexHomology`` picks; integral mode reads the ranks and the
+    invariant factors > 1 of each incoming differential (the torsion of that
+    degree) off its Smith normal form, which reads each differential densely.
     """
     c.validate()
     n = len(c.dims)
+    torsions: list[tuple[int, ...]] = [() for _ in range(n)]
+    reps = None
     if integral:
-        ranks = []
-        torsions = []
-        for d in c.differentials:
-            facs = invariant_factors(d.to_matrix())
-            ranks.append(len(facs))
-            torsions.append(tuple(f for f in facs if f > 1))
-        betti = []
-        tors = []
-        for i in range(n):
-            z = c.dims[i] - (ranks[i - 1] if i > 0 else 0)
-            b = ranks[i] if i < n - 1 else 0
-            betti.append(z - b)
-            tors.append(torsions[i] if i < n - 1 else ())
-        result = HomologyResult(tuple(betti), tuple(tors), None)
-    else:
+        factors = [invariant_factors(d.to_matrix()) for d in c.differentials]
+        torsions[: len(factors)] = [tuple(f for f in facs if f > 1) for facs in factors]
+        betti = _betti(c.dims, [len(facs) for facs in factors])
+    elif representatives:
         solver = RationalComplexHomology(c)
-        betti = list(solver.dims())
-        reps = tuple(solver.representatives(i) for i in range(n)) if representatives else None
-        result = HomologyResult(tuple(betti), tuple(() for _ in range(n)), reps)
-    # Euler characteristic invariant: alternating sums agree
+        betti = solver.dims()
+        reps = tuple(solver.representatives(i) for i in range(n))
+    else:
+        betti = _betti(c.dims, [rank(d) for d in c.differentials])
+    result = HomologyResult(betti, tuple(torsions), reps)
+    # Euler characteristic invariant: alternating sums agree (an identity for
+    # Betti numbers read off ranks; a check on the representatives' count)
     lhs = sum((-1) ** i * c.dims[i] for i in range(n))
     rhs = sum((-1) ** i * result.betti[i] for i in range(n))
     if lhs != rhs:

@@ -35,16 +35,36 @@ class DictionaryInapplicableError(ValueError):
 
 
 def stage_character(module: FIModule, k: int) -> ClassFunction:
-    """Character of the S_k-action on the degree-k stage of the module."""
+    """Character of the S_k-action on the degree-k stage of the module.
+
+    The class words of ``conjugacy_class_word`` are prefix-closed, so they
+    form a tree rooted at the identity's empty word, each class one letter
+    below its parent.  Each basis vector walks that tree once, applying one
+    adjacent transposition per class to its parent's image.  The image at a
+    class is the vector under its word read letter by letter, the inverse of
+    the class's representative and so in the same class.  The values are
+    therefore the character only when the generator matrices satisfy the
+    Coxeter relations (``validate``); otherwise they depend on the words.
+    """
     dim = module.dim(k)
-    values = []
-    for cycle_type in partitions_of(k):
-        perm = permutation_from_word(conjugacy_class_word(cycle_type), k)
-        trace = 0
-        for b in range(dim):
-            image = module.apply_permutation(k, perm, {b: 1})
-            trace += image.get(b, 0)
-        values.append(trace)
+    classes = partitions_of(k)
+    words = [tuple(conjugacy_class_word(cycle_type)) for cycle_type in classes]
+    position = {word: i for i, word in enumerate(words)}
+    # (class, parent class, last letter as a permutation), parents first
+    steps = [
+        (i, position[word[:-1]], permutation_from_word(word[-1:], k))
+        for i, word in sorted(enumerate(words), key=lambda item: len(item[1]))
+        if word
+    ]
+    root = position[()]
+    values = [0] * len(classes)
+    values[root] = dim
+    images: list[dict] = [{} for _ in classes]
+    for b in range(dim):
+        images[root] = {b: 1}
+        for i, parent, swap in steps:
+            images[i] = module.apply_permutation(k, swap, images[parent])
+            values[i] += images[i].get(b, 0)
     return ClassFunction(k, tuple(values))
 
 

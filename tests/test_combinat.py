@@ -139,6 +139,23 @@ def test_cycle_type_of_class_words():
             assert cycle_type(perm) == ct
 
 
+def test_conjugacy_class_words_are_prefix_closed():
+    from ficalc.symrep import partitions_of
+
+    for n in range(11):
+        for ct in partitions_of(n):
+            word = conjugacy_class_word(ct)
+            if not word:
+                assert ct == (1,) * n
+                continue
+            # the parent splits one point off the smallest part > 1
+            parts = list(ct)
+            smallest = max(i for i, c in enumerate(parts) if c > 1)
+            parts[smallest] -= 1
+            parent = tuple(sorted(parts + [1], reverse=True))
+            assert conjugacy_class_word(parent) == word[:-1], ct
+
+
 def test_conjugacy_class_word_validation():
     with pytest.raises(ValueError):
         conjugacy_class_word((1, 2))

@@ -1,9 +1,13 @@
 """Tests for stage decompositions, dictionary predictions, and stability."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ficalc.combinat import cycle_type
 from ficalc.fimod import (
     DictionaryInapplicableError,
+    FIModule,
     coefficient_profile,
     dictionary_prediction,
     free_module,
@@ -13,7 +17,7 @@ from ficalc.fimod import (
     stage_character,
     zero_module,
 )
-from ficalc.symrep import StableRangeError, specht_dimension
+from ficalc.symrep import StableRangeError, partitions_of, specht_dimension
 
 
 def test_stage_character_of_rank_one_representable():
@@ -24,6 +28,72 @@ def test_stage_character_of_rank_one_representable():
     assert chi((1, 1, 1)) == 3
     assert chi((2, 1)) == 1
     assert chi((3,)) == 0
+
+
+def test_representable_character_counts_injections_into_fixed_points():
+    # sigma fixes an injection m -> k exactly when its image lies in the
+    # fixed points of sigma, so the value is the falling factorial f^(m)
+    for m in range(5):
+        E = representable(m, 9)
+        for k in range(10):
+            chi = stage_character(E, k)
+            for ct in partitions_of(k):
+                f = ct.count(1)
+                expected = 1
+                for j in range(m):
+                    expected *= f - j
+                assert chi(ct) == expected, (m, k, ct)
+
+
+def _horizontal_strip(mu, lam):
+    """Whether mu / lam is a horizontal strip: mu_1 >= lam_1 >= mu_2 >= lam_2 ..."""
+    if len(mu) < len(lam):
+        return False
+    padded = tuple(lam) + (0,) * (len(mu) - len(lam))
+    return all(
+        mu[i] >= padded[i] and (i + 1 >= len(mu) or padded[i] >= mu[i + 1])
+        for i in range(len(mu))
+    )
+
+
+def test_free_module_stages_follow_the_pieri_rule():
+    # M(lam)_k is induced from S^lam x trivial, so its constituents are the
+    # shapes lam plus a horizontal strip of k - |lam| boxes, each once
+    for size in range(4):
+        for lam in partitions_of(size):
+            E = free_module(lam, 8)
+            for k in range(size, 9):
+                expected = {mu: 1 for mu in partitions_of(k) if _horizontal_strip(mu, lam)}
+                assert stable_decomposition(E, k).nonzero() == expected, (lam, k)
+
+
+_TRACE_MODULES = (representable(2, 6), free_module((2, 1), 6), free_module((1, 1), 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stage_character_is_the_trace_of_a_random_permutation(data):
+    E = data.draw(st.sampled_from(_TRACE_MODULES))
+    k = data.draw(st.integers(min_value=0, max_value=E.max_degree))
+    sigma = tuple(data.draw(st.permutations(range(k))))
+    trace = sum(E.apply_permutation(k, sigma, {b: 1}).get(b, 0) for b in range(E.dims[k]))
+    assert stage_character(E, k)(cycle_type(sigma)) == trace
+
+
+def test_stage_character_applies_one_transposition_per_class(monkeypatch):
+    calls = []
+    apply = FIModule.apply_permutation
+
+    def counted(self, k, perm, vec):
+        calls.append(perm)
+        return apply(self, k, perm, vec)
+
+    monkeypatch.setattr(FIModule, "apply_permutation", counted)
+    E = representable(2, 7)
+    stage_character(E, 7)
+    # 42 basis vectors, one step for each of the p(7) - 1 = 14 non-identity classes
+    assert len(calls) == 42 * (len(partitions_of(7)) - 1) == 588
+    assert all(sum(p != i for i, p in enumerate(perm)) == 2 for perm in calls)
 
 
 def test_stable_decomposition_examples():

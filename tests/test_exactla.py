@@ -425,6 +425,8 @@ def test_rational_betti_numbers_match_integral(c):
 
 def test_euler_characteristic_mismatch_raises(monkeypatch):
     circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
+    # Betti numbers read off ranks satisfy the Euler identity by construction;
+    # the count of representative cycles is the one that can disagree
     monkeypatch.setattr(RationalComplexHomology, "dims", lambda self: (1, 0))
     with pytest.raises(CrossCheckError, match="Euler characteristic"):
-        homology(circle)
+        homology(circle, representatives=True)
