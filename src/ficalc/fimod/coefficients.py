@@ -12,9 +12,13 @@ acyclicity of the full cubes.
 Over the rationals, coinvariants by the tail symmetric group are exact,
 so the stage homology is computed on the quotient complex where each
 summand E(s + k) is divided by the span of v - g.v for the k-1 adjacent
-transpositions that fix the first s points.  Those quotients are small
-(one dimension per orbit), which is what makes window-scale computation
-feasible.
+transpositions that fix the first s points.  Those quotients are small,
+which is what makes window-scale computation feasible: for a
+permutation-like module, such as a representable one, they have one
+dimension per orbit of the tail group on the basis.  ``CoinvariantQuotient``
+finds them by walking those orbits, and eliminates only the relations the
+walk leaves: generator columns with several entries (Specht blocks) and
+orbits that close with an inconsistent factor (signs).
 
 Stabilization: stages are scanned from k = generation bound upward; a
 coefficient is declared stable when two consecutive stages have equal
@@ -47,28 +51,93 @@ from .core import FIModule, InstabilityError, NotStabilizedError, WindowError
 
 
 class CoinvariantQuotient:
-    """E(s+k) modulo the span of v - g.v over the k-tail transpositions."""
+    """E(s+k) modulo W, the span of e_b - g.e_b over the basis vectors e_b
+    and the k-tail transpositions g.
+
+    ``free`` is the set of coordinates c with e_c not in
+    W + span{e_j : j > c}, that is the non-pivots of the reduced echelon form
+    of W whose pivots are smallest coordinates, and ``project`` sends v to
+    the unique vector of v + W supported on ``free``.  Two phases find them
+    without eliminating most of W.
+
+    1. Walk the orbits.  A generator column with one entry, g.e_x = c.e_y,
+       is an edge e_x = c.e_y modulo W.  From the largest unvisited
+       coordinate down, each orbit of the edges is walked breadth-first from
+       its largest coordinate r, its representative, recording the factor
+       f_x with e_x = f_x.e_r.  Rewriting e_x -> f_x.e_r projects onto the
+       span of the representatives, with kernel spanned by the walked edges.
+    2. Eliminate what is left.  Rewritten onto the representatives, the
+       relations e_x - g.e_x of the columns that are not single entries
+       (Specht blocks, empty columns) go into a ``VectorReducer``, and so
+       does e_r for an orbit with an edge that closes a cycle with another
+       factor (a sign, which kills the orbit in the quotient).
+
+    The answer is the full elimination's.  A coordinate c that is not a
+    representative is a pivot, since e_c = f.e_r with r > c.  For a
+    representative r, rewriting turns "e_r in W + span{e_j : j > r}" into
+    "e_r in W' + span{e_t : representatives t > r}", where W' is the span of
+    the rewritten leftover relations, so the free representatives are the
+    non-pivots of W'.  And since v + W meets the span of ``free`` in one
+    vector, rewriting and then reducing by W' finds the same projection.
+    """
 
     def __init__(self, module: FIModule, s: int, k: int):
         d = module.dims[s + k]
-        reducer = VectorReducer()
-        gens = module.transpositions[s + k]
-        for gi in range(s + 1, s + k):
-            g = gens[gi - 1]
-            for b in range(d):
-                w = vec_add({b: 1}, g.apply({b: 1}), -1)
-                if w:
-                    reducer.insert(w)
-        reducer.freeze()  # ``project`` only reduces
-        pivots = set(reducer.pivots())
-        self.reducer = reducer
-        self.free = tuple(c for c in range(d) if c not in pivots)
+        edges = [[] for _ in range(d)]  # x -> (y, m) with f_y = f_x * m
+        leftover = []
+        # the tail generators: 1-based s+1 .. s+k-1
+        for g in module.transpositions[s + k][s : s + k - 1]:
+            for x, col in enumerate(g.columns):
+                if len(col) != 1:
+                    leftover.append(vec_add({x: 1}, col, -1))
+                    continue
+                ((y, c),) = col.items()
+                edges[x].append((y, c if c == 1 or c == -1 else 1 / Fraction(c)))
+                edges[y].append((x, c))
+        rep = [-1] * d
+        factor = [1] * d
+        for top in reversed(range(d)):
+            if rep[top] >= 0:
+                continue
+            rep[top] = top
+            orbit = [top]
+            consistent = True
+            for x in orbit:
+                for y, m in edges[x]:
+                    fy = factor[x] * m
+                    if rep[y] < 0:
+                        rep[y] = top
+                        factor[y] = fy
+                        orbit.append(y)
+                    elif factor[y] != fy:
+                        consistent = False
+            if not consistent:
+                leftover.append({top: 1})
+        self._rep = rep
+        self._factor = factor
+        self.reducer = VectorReducer()
+        for w in leftover:
+            w = self._rewrite(w)
+            if w:
+                self.reducer.insert(w)
+        self.reducer.freeze()  # ``project`` only reduces
+        pivots = set(self.reducer.pivots())
+        self.free = tuple(c for c in range(d) if rep[c] == c and c not in pivots)
         self.index = {c: i for i, c in enumerate(self.free)}
         self.dim = len(self.free)
 
+    def _rewrite(self, vec: dict) -> dict:
+        """vec with each e_x replaced by f_x.e_r, r the representative of x."""
+        rep, factor = self._rep, self._factor
+        out = {}
+        for x, v in vec.items():
+            r = rep[x]
+            out[r] = out.get(r, 0) + v * factor[x]
+        return {r: v for r, v in out.items() if v}
+
     def project(self, vec: dict) -> dict:
         """Coordinates of the image of vec in the quotient basis."""
-        rem = self.reducer.reduce(vec)
+        rem = self.reducer.reduce(self._rewrite(vec))
         return {self.index[c]: v for c, v in rem.items()}
 
 

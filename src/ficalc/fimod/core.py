@@ -80,6 +80,7 @@ class FIModule:
             if (inc.rows, inc.cols) != (self.dims[k + 1], self.dims[k]):
                 raise ValueError(f"inclusion at degree {k} has wrong shape")
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._factor_cache: dict[Injection, tuple[int, ...]] = {}
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------
@@ -126,10 +127,13 @@ class FIModule:
         """Apply E(f) to a sparse vector of degree f.source_size."""
         self._check_degree(f.source_size)
         self._check_degree(f.target_size)
-        sigma, _ = factor_injection(f)
+        sigma = self._factor_cache.get(f)
+        if sigma is None:
+            sigma = factor_injection(f)[0].values
+            self._factor_cache[f] = sigma
         for j in range(f.source_size, f.target_size):
             vec = self.inclusions[j].apply(vec)
-        return self.apply_permutation(f.target_size, sigma.values, vec)
+        return self.apply_permutation(f.target_size, sigma, vec)
 
 
 def evaluate(module: FIModule, f: Injection) -> SparseMatrix:

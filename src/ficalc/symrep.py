@@ -279,7 +279,12 @@ def irreducible_class_function(lam: Partition) -> ClassFunction:
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows = partitions (revlex), columns = classes (revlex)."""
     parts = partitions_of(n)
-    return tuple(tuple(irreducible_character(lam, ct) for ct in parts) for lam in parts)
+    return tuple(tuple(_mn(lam, ct) for ct in parts) for lam in parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    return tuple(class_size(ct) for ct in partitions_of(n))
 
 
 def young_permutation_character(mu: Partition) -> ClassFunction:
@@ -323,9 +328,14 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
     The reconstruction identity (the multiplicities re-sum to the input) is
     checked before returning; a failure raises ``CrossCheckError``.
     """
+    den = math.lcm(*(v.denominator for v in f.values))
+    weighted = [
+        z * v.numerator * (den // v.denominator) for z, v in zip(_class_sizes(f.n), f.values)
+    ]
+    order = den * math.factorial(f.n)
     mults: dict[Partition, int] = {}
-    for lam in partitions_of(f.n):
-        m = inner_product(f, irreducible_class_function(lam))
+    for lam, row in zip(partitions_of(f.n), character_table(f.n)):
+        m = Fraction(sum(w * chi for w, chi in zip(weighted, row)), order)
         if m.denominator != 1 or m < 0:
             raise NotACharacterError(
                 f"multiplicity of {lam} is {m}, not a non-negative integer"

@@ -1,14 +1,19 @@
 """Tests for cross-effect cube homology, coefficients, and transitions."""
 
 import itertools
+import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ficalc.combinat import Injection, standard_inclusion
 from ficalc.exactla import (
     Matrix,
     RationalComplexHomology,
+    SparseMatrix,
     VectorReducer,
     homology,
     rank,
@@ -16,6 +21,7 @@ from ficalc.exactla import (
 )
 from ficalc.fimod import (
     CubeStage,
+    FIModule,
     NotStabilizedError,
     WindowError,
     coefficient_profile,
@@ -96,28 +102,160 @@ def test_coefficient_not_stabilized_reports_trajectory():
     assert trajectory == [{"stage": 2, "dims": (1, 0, 0)}]
 
 
+def _live_reducer(module, s, k) -> VectorReducer:
+    """The full elimination: every e_b - g.e_b over the k-tail generators."""
+    live = VectorReducer()
+    gens = module.transpositions[s + k]
+    for gi in range(s + 1, s + k):
+        for b in range(module.dims[s + k]):
+            w = vec_add({b: 1}, gens[gi - 1].apply({b: 1}), -1)
+            if w:
+                live.insert(w)
+    return live
+
+
+def quotient_mismatches(module, s_max: int) -> list:
+    """The (s, k, b) at which ``CoinvariantQuotient(module, s, k)`` disagrees
+    with a live reducer holding all e_b - g.e_b, for s <= s_max and every
+    stage in the window: ``free`` must be the live reducer's non-pivots (b is
+    None when it is not) and ``project({b: 1})`` its remainder of e_b, in
+    values, and an int wherever the remainder has one when every generator
+    entry is an int ±1 (the full elimination may divide by a pivot 2 where
+    the orbit walk does not, so the converse does not hold)."""
+    bad = []
+    for s in range(s_max + 1):
+        for k in range(module.max_degree - s + 1):
+            q = CoinvariantQuotient(module, s, k)
+            live = _live_reducer(module, s, k)
+            pivots = set(live.pivots())
+            if q.free != tuple(c for c in range(module.dims[s + k]) if c not in pivots):
+                bad.append((s, k, None))
+                continue
+            units = all(
+                type(x) is int and abs(x) == 1
+                for g in module.transpositions[s + k]
+                for col in g.columns
+                for x in col.values()
+            )
+            for b in range(module.dims[s + k]):
+                got = q.project({b: 1})
+                want = {q.index[c]: x for c, x in live.reduce({b: 1}).items()}
+                if got != want or units and any(
+                    type(want[i]) is int and type(got[i]) is not int for i in got
+                ):
+                    bad.append((s, k, b))
+    return bad
+
+
+def relabel(module, seed: int) -> FIModule:
+    """An isomorphic copy with each degree's basis renamed at random."""
+    rng = random.Random(seed)
+    perms = []
+    for d in module.dims:
+        perm = list(range(d))
+        rng.shuffle(perm)
+        perms.append(perm)
+
+    def conjugate(m, src, tgt):
+        columns = [None] * m.cols
+        for j, col in enumerate(m.columns):
+            columns[src[j]] = {tgt[i]: x for i, x in col.items()}
+        return SparseMatrix(m.rows, m.cols, columns)
+
+    return FIModule(
+        module.name,
+        module.max_degree,
+        module.generation_bound,
+        module.dims,
+        [[conjugate(g, perms[k], perms[k]) for g in gens] for k, gens in enumerate(module.transpositions)],
+        [conjugate(m, perms[k], perms[k + 1]) for k, m in enumerate(module.inclusions)],
+    )
+
+
+def _sign_module(k_max: int) -> FIModule:
+    """E(k) = sign with every inclusion 1: not a functor on injections."""
+    transpositions = [
+        [SparseMatrix(1, 1, [{0: -1}]) for _ in range(max(k - 1, 0))] for k in range(k_max + 1)
+    ]
+    inclusions = [SparseMatrix(1, 1, [{0: 1}]) for _ in range(k_max)]
+    return FIModule("sign", k_max, 0, [1] * (k_max + 1), transpositions, inclusions)
+
+
 def test_coinvariant_quotients_stay_int_and_project_as_before():
-    """Every quotient of representable(3, 7) is spanned by v - g.v with 0/1
-    matrices, so its rows stay int; dropping the insert index once built
-    leaves ``project`` equal to reduction by an unfrozen reducer."""
-    E = representable(3, 7)
-    for s in range(4):
-        for k in range(8 - s):
-            q = CoinvariantQuotient(E, s, k)
-            with pytest.raises(RuntimeError):
-                q.reducer.insert({0: 1})
-            for _, row in q.reducer.rows():
-                assert all(type(x) is int for x in row.values())
-            live = VectorReducer()
-            gens = E.transpositions[s + k]
-            for gi in range(s + 1, s + k):
+    """Every quotient of representable(3, 7) and free((2, 1), 7) is spanned by
+    v - g.v with 0/±1 matrices, so the orbit factors, the rows of the
+    leftover relations and the projections stay int; dropping the insert
+    index once built leaves ``project`` equal to reduction by an unfrozen
+    reducer holding every relation."""
+    for E in (representable(3, 7), free_module((2, 1), 7)):
+        for s in range(4):
+            for k in range(8 - s):
+                q = CoinvariantQuotient(E, s, k)
+                with pytest.raises(RuntimeError):
+                    q.reducer.insert({0: 1})
+                assert all(type(f) is int for f in q._factor)
+                for _, row in q.reducer.rows():
+                    assert all(type(x) is int for x in row.values())
+                live = _live_reducer(E, s, k)
                 for b in range(E.dims[s + k]):
-                    w = vec_add({b: 1}, gens[gi - 1].apply({b: 1}), -1)
-                    if w:
-                        live.insert(w)
-            for b in range(E.dims[s + k]):
-                rem = live.reduce({b: 1})
-                assert q.project({b: 1}) == {q.index[c]: x for c, x in rem.items()}
+                    rem = live.reduce({b: 1})
+                    got = q.project({b: 1})
+                    assert got == {q.index[c]: x for c, x in rem.items()}
+                    assert all(type(x) is int for x in got.values())
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (2, 2), (1, 1, 1)])
+def test_orbit_quotient_of_specht_blocks_matches_full_elimination(lam):
+    """Specht blocks give generator columns with several entries ((2, 1) and
+    (2, 2)) or a sign that closes a cycle inconsistently ((1, 1, 1)), which
+    the orbit walk leaves to elimination."""
+    E = free_module(lam, 7)
+    assert quotient_mismatches(E, 4) == []
+    assert any(CoinvariantQuotient(E, 1, k).reducer.rank for k in range(7))
+
+
+def test_orbit_quotient_of_relabelled_representable_matches_full_elimination():
+    """A random basis order moves the orbit representatives and the pivots."""
+    assert quotient_mismatches(relabel(representable(3, 7), 2), 4) == []
+
+
+def test_orbit_quotient_kills_an_inconsistent_orbit():
+    """The sign module's tail swap sends e to -e, a cycle whose factor is not
+    1, so every quotient with a tail generator (k >= 2) is zero."""
+    E = _sign_module(5)
+    assert quotient_mismatches(E, 5) == []
+    for s in range(6):
+        for k in range(6 - s):
+            assert CoinvariantQuotient(E, s, k).dim == (0 if k >= 2 else 1)
+
+
+_SCALARS = (1, -1, 2, Fraction(1, 2))
+
+
+@st.composite
+def _generator_shaped_modules(draw):
+    """Windows of arbitrary matrices in the shape of an FIModule: columns
+    are empty, single entries with a scalar in ±1, 2, 1/2, or several."""
+    max_degree = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(0, 6), min_size=max_degree + 1, max_size=max_degree + 1))
+    transpositions = []
+    for k, d in enumerate(dims):
+        gens = []
+        for _ in range(max(k - 1, 0)):
+            rows = st.integers(0, max(d - 1, 0))
+            entry = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=1, max_size=1)
+            several = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=min(d, 2), max_size=3)
+            column = st.one_of(entry, entry, entry, several, st.just({}))
+            gens.append(SparseMatrix(d, d, [draw(column) for _ in range(d)]))
+        transpositions.append(gens)
+    inclusions = [SparseMatrix(dims[k + 1], dims[k]) for k in range(max_degree)]
+    return FIModule("random", max_degree, 0, dims, transpositions, inclusions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_shaped_modules())
+def test_orbit_quotient_of_random_generators_matches_full_elimination(E):
+    assert quotient_mismatches(E, E.max_degree) == []
 
 
 def test_transition_along_identity_is_identity():

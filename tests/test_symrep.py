@@ -177,6 +177,55 @@ def test_decompose_rejects_non_characters():
         decompose_class_function(fake)
 
 
+def _combination(n, coefficients):
+    """The class function sum_lam c_lam chi^lam, read off
+    ``irreducible_character`` one value at a time."""
+    parts = partitions_of(n)
+    return ClassFunction(
+        n,
+        tuple(
+            sum(c * irreducible_character(lam, ct) for c, lam in zip(coefficients, parts))
+            for ct in parts
+        ),
+    )
+
+
+_COMBINATIONS = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 4), min_size=len(partitions_of(n)), max_size=len(partitions_of(n))),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COMBINATIONS)
+def test_decompose_recovers_random_characters(case):
+    n, coefficients = case
+    table = decompose_class_function(_combination(n, coefficients))
+    assert table.multiplicities == dict(zip(partitions_of(n), coefficients))
+    assert all(type(m) is int for m in table.multiplicities.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COMBINATIONS, st.data())
+def test_decompose_rejects_negative_and_fractional_multiplicities(case, data):
+    """A negative coefficient, or half of a combination with an odd
+    coefficient, is a virtual or non-integral class function."""
+    n, coefficients = case
+    at = data.draw(st.integers(0, len(coefficients) - 1))
+    negative = list(coefficients)
+    negative[at] = -1 - negative[at]
+    with pytest.raises(NotACharacterError):
+        decompose_class_function(_combination(n, negative))
+    odd = list(coefficients)
+    odd[at] = 2 * odd[at] + 1
+    f = _combination(n, odd)
+    half = ClassFunction(n, tuple(v / 2 for v in f.values))
+    with pytest.raises(NotACharacterError, match="/2"):
+        decompose_class_function(half)
+
+
 def test_class_function_dimension():
     chi = irreducible_class_function((2, 1))
     assert chi.dimension == 2
