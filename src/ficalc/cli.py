@@ -414,8 +414,8 @@ def _cmd_gn(args):
 def _fi_cells(n_max: int, k_max: int):
     """Cells for the wedge-of-spheres section."""
     cells = []
-    for n in range(1, min(3, n_max) + 1):
-        for k in range(2 * n - 1, min(n + 4, 7, k_max) + 1):
+    for n in range(1, min(5, n_max) + 1):
+        for k in range(2 * n - 1, min(n + 4, 10, k_max) + 1):
 
             def cell(n=n, k=k):
                 certificate = wedge_certificate(n, k)

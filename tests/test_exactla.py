@@ -4,9 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ficalc import exactla
 from ficalc.exactla import (
     ChainComplex,
     ComplexInvalidError,
@@ -17,6 +18,7 @@ from ficalc.exactla import (
     ShapeMismatchError,
     SparseMatrix,
     VectorReducer,
+    _coreduce,
     cokernel,
     homology,
     invariant_factors,
@@ -304,16 +306,36 @@ def test_sphere_homology():
     assert res.torsion == ((), (), ())
 
 
-def test_projective_plane_torsion():
-    # six-vertex triangulation; H_0 = Z, H_1 = Z/2, H_2 = 0
+def _projective_plane():
+    """The six-vertex triangulation of RP^2: H_0 = Z, H_1 = Z/2, H_2 = 0."""
     faces = [
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
     ]
     edges = sorted({(s[i], s[j]) for s in faces for i in range(3) for j in range(i + 1, 3)})
     assert len(edges) == 15
-    plane = _simplicial_complex(6, [edges, faces])
-    res = homology(_simplicial_complex(6, [edges, faces]), integral=True)
+    return _simplicial_complex(6, [edges, faces])
+
+
+def _augment(c):
+    """Prepend the augmentation: one degree -1 cell that every vertex maps to."""
+    augmentation = SparseMatrix(1, c.dims[0], [{0: 1}] * c.dims[0])
+    return ChainComplex((1,) + c.dims, (augmentation,) + c.differentials)
+
+
+def plain_snf_homology(c):
+    """(Betti numbers, torsion) from the Smith normal form of every full
+    differential, without coreduction."""
+    factors = [invariant_factors(d.to_matrix()) for d in c.differentials]
+    ranks = [0, *map(len, factors), 0]
+    betti = tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(c.dims))
+    torsion = tuple(tuple(f for f in facs if f > 1) for facs in factors)
+    return betti, torsion + ((),) * (len(c.dims) - len(torsion))
+
+
+def test_projective_plane_torsion():
+    plane = _projective_plane()
+    res = homology(plane, integral=True)
     assert res.betti == (1, 0, 0)
     assert res.torsion == ((), (2,), ())
     rational = homology(plane)
@@ -325,6 +347,43 @@ def test_moore_style_torsion():
     res = homology(doubling, integral=True)
     assert res.betti == (0, 0)
     assert res.torsion == ((2,), ())
+
+
+def test_coreduction_never_pairs_a_non_unit_entry():
+    doubling = ChainComplex((1, 1), (SparseMatrix(1, 1, [{0: 2}]),))
+    residue = _coreduce(doubling)
+    assert residue.dims == (1, 1)
+    assert residue.differentials[0].columns == [{0: 2}]
+
+
+def test_coreduction_keeps_the_restricted_boundaries():
+    # the circle has no unit pair to start from; once augmented, the pairs
+    # (vertex 0, augmentation), (edge 01, vertex 1), (edge 02, vertex 2)
+    # leave edge 12, whose boundary lost both of its vertices
+    circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
+    assert _coreduce(circle).dims == circle.dims
+    residue = _coreduce(_augment(circle))
+    assert residue.dims == (0, 0, 1)
+    assert residue.differentials[1].columns == [{}]
+
+
+def test_coreduction_rejects_a_pair_that_breaks_d_squared():
+    # d.d != 0: removing the pair (edge 0, vertex 0) leaves edge 1 as the
+    # only face of the 2-cell, but the boundary of edge 1 is 2 * vertex 1
+    c = ChainComplex(
+        (2, 2, 1),
+        (SparseMatrix(2, 2, [{0: 1}, {1: 2}]), SparseMatrix(2, 1, [{0: 1, 1: 1}])),
+    )
+    with pytest.raises(CrossCheckError, match="boundary is not empty"):
+        _coreduce(c)
+    with pytest.raises(ComplexInvalidError):
+        homology(c, integral=True)
+
+
+def test_integral_homology_rejects_fractional_entries():
+    half = ChainComplex((1, 1), (SparseMatrix(1, 1, [{0: Fraction(1, 2)}]),))
+    with pytest.raises(ValueError, match="integer"):
+        homology(half, integral=True)
 
 
 def test_homology_representatives_and_express():
@@ -423,6 +482,17 @@ def test_rational_betti_numbers_match_integral(c):
     assert homology(c).betti == homology(c, integral=True).betti
 
 
+@given(simplicial_complexes(), st.booleans())
+@example(_projective_plane(), False)
+@example(_projective_plane(), True)
+@settings(max_examples=60, deadline=None)
+def test_coreduced_homology_matches_plain_smith_normal_form(c, augmented):
+    if augmented:
+        c = _augment(c)
+    result = homology(c, integral=True)
+    assert (result.betti, result.torsion) == plain_snf_homology(c)
+
+
 def test_euler_characteristic_mismatch_raises(monkeypatch):
     circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
     # Betti numbers read off ranks satisfy the Euler identity by construction;
@@ -430,3 +500,19 @@ def test_euler_characteristic_mismatch_raises(monkeypatch):
     monkeypatch.setattr(RationalComplexHomology, "dims", lambda self: (1, 0))
     with pytest.raises(CrossCheckError, match="Euler characteristic"):
         homology(circle, representatives=True)
+
+
+def test_euler_check_catches_a_cell_deleted_without_its_pair(monkeypatch):
+    circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
+    coreduce = exactla._coreduce
+
+    def drop_last_cell(c):
+        residue = coreduce(c)
+        top = residue.differentials[-1]
+        dims = residue.dims[:-1] + (residue.dims[-1] - 1,)
+        cut = SparseMatrix(top.rows, top.cols - 1, top.columns[:-1])
+        return ChainComplex(dims, residue.differentials[:-1] + (cut,))
+
+    monkeypatch.setattr(exactla, "_coreduce", drop_last_cell)
+    with pytest.raises(CrossCheckError, match="Euler characteristic"):
+        homology(circle, integral=True)

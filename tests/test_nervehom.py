@@ -3,9 +3,11 @@
 import pytest
 
 from ficalc.combinat import build_poset
-from ficalc.exactla import HomologyResult
+from ficalc.exactla import HomologyResult, _coreduce, invariant_factors
 from ficalc.nervehom import (
     TheoremViolationError,
+    _augmented_chains,
+    _boundary,
     certify_homology,
     chessboard_complex,
     complex_homology,
@@ -200,3 +202,56 @@ def test_wedge_certificate_reaches_four_into_seven():
     cert = wedge_certificate(4, 7)
     assert cert.rank == gn_dimension(4, 7) == 225
     assert cert.betti == (0, 0, 0, 225)
+
+
+def test_chessboard_five_into_six_has_no_torsion():
+    # below the range k >= 2n-1: besides the 152 spheres of degree 3 there
+    # is one class in degree 4, and no torsion
+    result = complex_homology(chessboard_complex(5, 6))
+    assert result.betti == (0, 0, 0, 152, 1)
+    assert not any(result.torsion)
+
+
+def test_four_into_seven_coreduces_to_its_spheres():
+    # coreduction of the augmented M_{4,7} is a perfect matching: the residue
+    # is 225 cells of degree 3 (index 4 after degree -1) with no boundary
+    residue = _coreduce(_augmented_chains(chessboard_complex(4, 7)))
+    assert residue.dims == (0, 0, 0, 0, 225)
+    assert not any(d.nnz() for d in residue.differentials)
+
+
+def plain_reduced_homology(complex):
+    """Reduced integral homology from the Smith normal form of every full,
+    unreduced boundary, without coreduction."""
+    dims = [len(batch) for batch in complex.simplices]
+    factors = [invariant_factors(_boundary(complex, d).to_matrix()) for d in range(1, len(dims))]
+    ranks = [0, *map(len, factors), 0]
+    betti = [dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims)]
+    betti[0] -= 1
+    torsion = [tuple(f for f in facs if f > 1) for facs in factors] + [()]
+    return HomologyResult(tuple(betti), tuple(torsion))
+
+
+def coreduction_mismatches(n_max, k_max, nerve_max):
+    """The complexes on which ``complex_homology`` differs from plain Smith
+    normal form: M_{n,k} for 1 <= n <= n_max, 1 <= k <= k_max, and the nerves
+    of P(n,k) for 1 <= n, k <= nerve_max."""
+    cases = [
+        (f"M_{{{n},{k}}}", chessboard_complex(n, k))
+        for n in range(1, n_max + 1)
+        for k in range(1, k_max + 1)
+    ]
+    cases += [
+        (f"nerve of P({n},{k})", order_complex(build_poset(n, k)))
+        for n in range(1, nerve_max + 1)
+        for k in range(1, nerve_max + 1)
+    ]
+    return [
+        name
+        for name, complex in cases
+        if complex_homology(complex) != plain_reduced_homology(complex)
+    ]
+
+
+def test_coreduced_homology_matches_plain_smith_normal_form():
+    assert coreduction_mismatches(3, 6, 3) == []
