@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -407,334 +408,279 @@ def _cmd_gn(args):
 
 
 # ---------------------------------------------------------------------------
-# the aggregate report
+# the aggregate report: each check is a module-level function returning
+# (passed, detail), and ``report_sections`` is the one place that decides
+# which cells run at a scale.  Checks look their library calls up in this
+# module's globals when they run, so a patched or traced function is the one
+# called.
 # ---------------------------------------------------------------------------
 
 
-def _fi_cells(n_max: int, k_max: int):
-    """Cells for the wedge-of-spheres section."""
-    cells = []
-    for n in range(1, min(5, n_max) + 1):
-        for k in range(2 * n - 1, min(n + 4, 10, k_max) + 1):
-
-            def cell(n=n, k=k):
-                certificate = wedge_certificate(n, k)
-                return True, f"rank {certificate.rank} in degree {n - 1}"
-
-            cells.append((f"P({n},{k})", cell))
-    return cells
+def _check_wedge(n, k):
+    certificate = wedge_certificate(n, k)
+    return True, f"rank {certificate.rank} in degree {n - 1}"
 
 
-def _weight_cells(n_max: int, k_max: int):
-    cells = []
-    for n in range(0, min(3, n_max) + 1):
-        for k in range(2 * n, min(8, k_max) + 1):
-
-            def cell(n=n, k=k):
-                checked = 0
-                for lam in partitions_of(k):
-                    expected = 0
-                    if weight(lam) == n:
-                        content = tuple(x for x in (k - n,) + (1,) * n if x)
-                        expected = kostka(lam, content)
-                    actual = gn_character(n, k, lam)
-                    if actual != expected:
-                        return False, f"character at {lam} is {actual}, expected {expected}"
-                    checked += 1
-                return True, f"{checked} partitions checked"
-
-            cells.append((f"n={n}, k={k}", cell))
-    return cells
+def _check_weight(n, k):
+    checked = 0
+    for lam in partitions_of(k):
+        expected = 0
+        if weight(lam) == n:
+            content = tuple(x for x in (k - n,) + (1,) * n if x)
+            expected = kostka(lam, content)
+        actual = gn_character(n, k, lam)
+        if actual != expected:
+            return False, f"character at {lam} is {actual}, expected {expected}"
+        checked += 1
+    return True, f"{checked} partitions checked"
 
 
-def _kostka_cells(n_max: int, k_max: int):
-    n_eff = min(4, max(n_max, 0))
-    cells = []
-    for k in range(1, min(10, k_max) + 1):
-
-        def cell(k=k, n_eff=n_eff):
-            identities = 0
-            for lam in partitions_of(k):
-                if not lam or lam[0] < k - n_eff:
-                    continue
-                for i in range(0, min(n_eff, lam[0], k - 1) + 1):
-                    lhs, rhs = kostka_reduction(lam, i)
-                    if lhs != rhs:
-                        return False, f"{lam}, i={i}: {lhs} != {rhs}"
-                    identities += 1
-            return True, f"{identities} identities"
-
-        cells.append((f"k={k}", cell))
-    return cells
-
-
-def _representable_cells(n_max: int, k_max: int):
-    m_eff = min(4, n_max)
-    window = min(9, k_max)
-    cells = []
-    for m in range(0, min(m_eff, window) + 1):
-
-        def cell(m=m, window=window):
-            module = representable(m, window)
-            checked = []
-            for n in range(0, m_eff + 1):
-                if n + m + 1 > window:
-                    continue
-                coeff = taylor_coefficient(module, n)
-                if n > m:
-                    if any(coeff.dims):
-                        return False, f"C_{n} nonzero: dims {coeff.dims}"
-                    continue
-                expected_dim = math.factorial(m) // math.factorial(m - n)
-                if coeff.dims[0] != expected_dim or any(coeff.dims[1:]):
-                    return False, f"C_{n} dims {coeff.dims}, expected ({expected_dim}, 0...)"
-                for ct, value in zip(partitions_of(n), coeff.characters[0].values):
-                    fixed = expected_dim if all(p == 1 for p in ct) else 0
-                    if value != fixed:
-                        return False, f"C_{n} trace at {ct} is {value}, expected {fixed}"
-                checked.append(n)
-            return True, f"coefficients {checked} match the injection count"
-
-        cells.append((f"m={m}", cell))
-    return cells
-
-
-def _dictionary_modules(n_max: int, k_max: int):
-    window = min(8, k_max)
-    recipes = [
-        ("representable", 0),
-        ("representable", 1),
-        ("representable", 2),
-        ("free", (2,)),
-        ("free", (1, 1)),
-        ("free", (2, 1)),
-    ]
-    chosen = []
-    for kind, parameter in recipes:
-        bound = parameter if kind == "representable" else sum(parameter)
-        if bound > min(3, n_max) or window < 2 * bound + 1:
+def _check_kostka(k, n_eff):
+    identities = 0
+    for lam in partitions_of(k):
+        if not lam or lam[0] < k - n_eff:
             continue
-        label = (
-            f"representable({parameter})" if kind == "representable"
-            else f"free(({_fmt_partition(parameter)}))"
-        )
-        chosen.append((kind, parameter, window, label))
-    return chosen
+        for i in range(0, min(n_eff, lam[0], k - 1) + 1):
+            lhs, rhs = kostka_reduction(lam, i)
+            if lhs != rhs:
+                return False, f"{lam}, i={i}: {lhs} != {rhs}"
+            identities += 1
+    return True, f"{identities} identities"
 
 
-def _build_recipe(kind, parameter, window):
-    if kind == "representable":
-        return representable(parameter, window)
-    return free_module(parameter, window)
+def _check_representable(m, m_eff, window):
+    module = representable(m, window)
+    checked = []
+    for n in range(0, m_eff + 1):
+        if n + m + 1 > window:
+            continue
+        coeff = taylor_coefficient(module, n)
+        if n > m:
+            if any(coeff.dims):
+                return False, f"C_{n} nonzero: dims {coeff.dims}"
+            continue
+        expected_dim = math.factorial(m) // math.factorial(m - n)
+        if coeff.dims[0] != expected_dim or any(coeff.dims[1:]):
+            return False, f"C_{n} dims {coeff.dims}, expected ({expected_dim}, 0...)"
+        for ct, value in zip(partitions_of(n), coeff.characters[0].values):
+            fixed = expected_dim if all(p == 1 for p in ct) else 0
+            if value != fixed:
+                return False, f"C_{n} trace at {ct} is {value}, expected {fixed}"
+        checked.append(n)
+    return True, f"coefficients {checked} match the injection count"
 
 
-def _dictionary_cells(n_max: int, k_max: int):
-    cells = []
-    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
-
-        def cell(kind=kind, parameter=parameter, window=window):
-            module = _build_recipe(kind, parameter, window)
-            profile = coefficient_profile(module)
-            top = profile.max_index
-            for k in range(2 * top, window + 1):
-                predicted = dictionary_prediction(profile, k).nonzero()
-                direct = stable_decomposition(module, k).nonzero()
-                if predicted != direct:
-                    return False, f"k={k}: {predicted} != {direct}"
-            return True, f"k={2 * top}..{window} all equal"
-
-        cells.append((label, cell))
-    return cells
+def _check_dictionary(build, window):
+    module = build(window)
+    profile = coefficient_profile(module)
+    top = profile.max_index
+    for k in range(2 * top, window + 1):
+        predicted = dictionary_prediction(profile, k).nonzero()
+        direct = stable_decomposition(module, k).nonzero()
+        if predicted != direct:
+            return False, f"k={k}: {predicted} != {direct}"
+    return True, f"k={2 * top}..{window} all equal"
 
 
-def _shift_cells(n_max: int, k_max: int):
-    cells = []
-    bound = min(2, n_max)
-    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
-        for n in range(0, bound + 1):
-            for i in range(0, bound + 1):
-
-                def cell(kind=kind, parameter=parameter, window=window, n=n, i=i):
-                    module = _build_recipe(kind, parameter, window)
-                    if n + i + module.generation_bound + 1 > window:
-                        return True, "window too small; not checked"
-                    result = delta_coefficient_shift_check(module, n, i)
-                    if not result.equal:
-                        return False, f"shifted dims {result.lhs.dims} vs {result.rhs_dims}"
-                    return True, f"dims {result.lhs.dims} and characters agree"
-
-                cells.append((f"{label}, n={n}, i={i}", cell))
-    return cells
+def _check_shift(build, window, n, i):
+    module = build(window)
+    if n + i + module.generation_bound + 1 > window:
+        return True, "window too small; not checked"
+    result = delta_coefficient_shift_check(module, n, i)
+    if not result.equal:
+        return False, f"shifted dims {result.lhs.dims} vs {result.rhs_dims}"
+    return True, f"dims {result.lhs.dims} and characters agree"
 
 
-def _stability_cells(n_max: int, k_max: int):
-    cells = []
-    for kind, parameter, window, label in _dictionary_modules(n_max, k_max):
-
-        def cell(kind=kind, parameter=parameter, window=window):
-            module = _build_recipe(kind, parameter, window)
-            start = max(1, 2 * module.generation_bound)
-            report = representation_stability_check(module, start)
-            if not report.is_stable:
-                return False, f"pattern still moving at {report.stable_from}"
-            tails = {_fmt_partition(mu) or "-": row[-1] for mu, row in report.trajectories.items()}
-            return True, f"constant on [{start},{report.k_max}]: {tails}"
-
-        cells.append((label, cell))
-    return cells
+def _check_stability(build, window):
+    module = build(window)
+    start = max(1, 2 * module.generation_bound)
+    report = representation_stability_check(module, start)
+    if not report.is_stable:
+        return False, f"pattern still moving at {report.stable_from}"
+    tails = {_fmt_partition(mu) or "-": row[-1] for mu, row in report.trajectories.items()}
+    return True, f"constant on [{start},{report.k_max}]: {tails}"
 
 
-def _structural_cells(n_max: int, k_max: int):
-    cells = []
-    window = min(6, k_max)
-
-    def validity():
-        for module in (representable(min(2, n_max), window), free_module((1, 1), max(window, 2))):
-            report = validate(module)
-            if not report.valid:
-                return False, f"{module.name}: {report.violations[:2]}"
-        return True, "constructed modules validate"
-
-    if min(2, n_max) <= window:
-        cells.append(("module validity", validity))
-
-    def orthogonality():
-        top = min(6, max(k_max, 1))
-        for n in range(0, top + 1):
-            parts = partitions_of(n)
-            for a in parts:
-                for b in parts:
-                    expected = Fraction(1 if a == b else 0)
-                    got = inner_product(
-                        irreducible_class_function(a), irreducible_class_function(b)
-                    )
-                    if got != expected:
-                        return False, f"<{a},{b}> = {got}"
-        return True, f"orthonormal through n={top}"
-
-    cells.append(("character orthogonality", orthogonality))
-
-    def squares():
-        top = min(7, max(k_max, 1))
-        for n in range(0, top + 1):
-            total = sum(specht_dimension(lam) ** 2 for lam in partitions_of(n))
-            if total != math.factorial(n):
-                return False, f"sum of squares at n={n} is {total}"
-        return True, f"sum f^2 = n! through n={top}"
-
-    cells.append(("dimension squares", squares))
-
-    def snf_unimodular():
-        import random
-
-        rng = random.Random(20260826)
-        for trial in range(6):
-            rows_ = rng.randrange(1, 6)
-            cols_ = rng.randrange(1, 6)
-            a = Matrix(
-                rows_, cols_, [rng.randrange(-9, 10) for _ in range(rows_ * cols_)]
-            )
-            u, d, v = smith_normal_form(a)
-            if (u @ a) @ v != d:
-                return False, f"trial {trial}: U a V != D"
-            for square in (u, v):
-                facs = invariant_factors(square)
-                if len(facs) != square.rows or any(f != 1 for f in facs):
-                    return False, f"trial {trial}: transform not unimodular"
-        return True, "6 random shapes: U a V = D with unimodular U, V"
-
-    cells.append(("smith normal form", snf_unimodular))
-
-    def symmetry():
-        top = min(4, max(k_max, 1))
-        for n in range(1, top + 1):
-            for k in range(n, top + 1):
-                if poset_size_formula(n, k) != poset_size_formula(k, n):
-                    return False, f"sizes differ at ({n},{k})"
-                if len(build_poset(n, k).elements) != poset_size_formula(n, k):
-                    return False, f"size formula off at ({n},{k})"
-        betti_top = min(3, top)
-        for n in range(1, betti_top + 1):
-            for k in range(n + 1, betti_top + 1):
-                left = complex_homology(order_complex(build_poset(n, k))).betti
-                right = complex_homology(order_complex(build_poset(k, n))).betti
-                if left != right:
-                    return False, f"betti differ at ({n},{k})"
-        return True, f"sizes through {top}, betti through {betti_top}"
-
-    cells.append(("poset symmetry", symmetry))
-
-    def exhaustion():
-        for module in (representable(min(2, n_max), window), free_module((1, 1), max(window, 3))):
-            bound = module.generation_bound
-            for k in range(module.max_degree + 1):
-                if not q_truncation(module, bound, k).is_isomorphism:
-                    return False, f"{module.name}: truncation at bound not iso at k={k}"
-        return True, "truncation at the generation bound is the identity"
-
-    if min(2, n_max) <= window:
-        cells.append(("truncation exhaustion", exhaustion))
-
-    def polynomiality():
-        for n in range(0, min(2, n_max) + 1):
-            if not is_polynomial(representable(n, window), n).is_polynomial:
-                return False, f"representable({n}) not {n}-polynomial"
-        negative = is_polynomial(representable(1, window), 0)
-        if negative.is_polynomial:
-            return False, "representable(1) passed as 0-polynomial"
-        return True, "positives pass, negative fails as expected"
-
-    if min(2, n_max) < window:
-        cells.append(("polynomiality", polynomiality))
-    return cells
+def _check_validity(m, window):
+    for module in (representable(m, window), free_module((1, 1), max(window, 2))):
+        report = validate(module)
+        if not report.valid:
+            return False, f"{module.name}: {report.violations[:2]}"
+    return True, "constructed modules validate"
 
 
-_REPORT_SECTIONS = (
-    ("Wedge of spheres", _fi_cells),
-    ("Weight concentration", _weight_cells),
-    ("Kostka reduction", _kostka_cells),
-    ("Representable coefficients", _representable_cells),
-    ("Dictionary roundtrip", _dictionary_cells),
-    ("Derivative shift", _shift_cells),
-    ("Representation stability", _stability_cells),
-    ("Structural suites", _structural_cells),
+def _check_orthogonality(top):
+    for n in range(0, top + 1):
+        parts = partitions_of(n)
+        for a in parts:
+            for b in parts:
+                expected = Fraction(1 if a == b else 0)
+                got = inner_product(irreducible_class_function(a), irreducible_class_function(b))
+                if got != expected:
+                    return False, f"<{a},{b}> = {got}"
+    return True, f"orthonormal through n={top}"
+
+
+def _check_squares(top):
+    for n in range(0, top + 1):
+        total = sum(specht_dimension(lam) ** 2 for lam in partitions_of(n))
+        if total != math.factorial(n):
+            return False, f"sum of squares at n={n} is {total}"
+    return True, f"sum f^2 = n! through n={top}"
+
+
+def _check_smith_normal_form():
+    rng = random.Random(20260826)
+    for trial in range(6):
+        rows_ = rng.randrange(1, 6)
+        cols_ = rng.randrange(1, 6)
+        a = Matrix(rows_, cols_, [rng.randrange(-9, 10) for _ in range(rows_ * cols_)])
+        u, d, v = smith_normal_form(a)
+        if (u @ a) @ v != d:
+            return False, f"trial {trial}: U a V != D"
+        for square in (u, v):
+            facs = invariant_factors(square)
+            if len(facs) != square.rows or any(f != 1 for f in facs):
+                return False, f"trial {trial}: transform not unimodular"
+    return True, "6 random shapes: U a V = D with unimodular U, V"
+
+
+def _check_poset_symmetry(top):
+    for n in range(1, top + 1):
+        for k in range(n, top + 1):
+            if poset_size_formula(n, k) != poset_size_formula(k, n):
+                return False, f"sizes differ at ({n},{k})"
+            if len(build_poset(n, k).elements) != poset_size_formula(n, k):
+                return False, f"size formula off at ({n},{k})"
+    betti_top = min(3, top)
+    for n in range(1, betti_top + 1):
+        for k in range(n + 1, betti_top + 1):
+            left = complex_homology(order_complex(build_poset(n, k))).betti
+            right = complex_homology(order_complex(build_poset(k, n))).betti
+            if left != right:
+                return False, f"betti differ at ({n},{k})"
+    return True, f"sizes through {top}, betti through {betti_top}"
+
+
+def _check_exhaustion(m, window):
+    for module in (representable(m, window), free_module((1, 1), max(window, 3))):
+        bound = module.generation_bound
+        for k in range(module.max_degree + 1):
+            if not q_truncation(module, bound, k).is_isomorphism:
+                return False, f"{module.name}: truncation at bound not iso at k={k}"
+    return True, "truncation at the generation bound is the identity"
+
+
+def _check_polynomiality(m, window):
+    for n in range(0, m + 1):
+        if not is_polynomial(representable(n, window), n).is_polynomial:
+            return False, f"representable({n}) not {n}-polynomial"
+    negative = is_polynomial(representable(1, window), 0)
+    if negative.is_polynomial:
+        return False, "representable(1) passed as 0-polynomial"
+    return True, "positives pass, negative fails as expected"
+
+
+# (label, generation bound, builder): the modules of the dictionary, shift and
+# stability sections; each cell builds its own module at the window
+_DICTIONARY_MODULES = (
+    ("representable(0)", 0, lambda window: representable(0, window)),
+    ("representable(1)", 1, lambda window: representable(1, window)),
+    ("representable(2)", 2, lambda window: representable(2, window)),
+    ("free((2))", 2, lambda window: free_module((2,), window)),
+    ("free((1,1))", 2, lambda window: free_module((1, 1), window)),
+    ("free((2,1))", 3, lambda window: free_module((2, 1), window)),
 )
+
+
+def report_sections(n_max: int, k_max: int):
+    """The report at a scale: ``(title, cells)`` per section, each cell a
+    ``(label, check, args)`` whose ``check(*args)`` returns (passed, detail).
+
+    The scale decides which cells are listed and what they check: a cell whose
+    modules the scale's windows cannot hold is left out.
+    """
+    window = min(8, k_max)
+    modules = [
+        (label, build)
+        for label, bound, build in _DICTIONARY_MODULES
+        if bound <= min(3, n_max) and window >= 2 * bound + 1
+    ]
+    shifts = range(0, min(2, n_max) + 1)
+    n_eff, m_eff, rep_window = min(4, max(n_max, 0)), min(4, n_max), min(9, k_max)
+    low_m, low_window = min(2, n_max), min(6, k_max)
+    top = max(k_max, 1)
+    structural = (  # (label, check, args, whether the scale holds the cell)
+        ("module validity", _check_validity, (low_m, low_window), low_m <= low_window),
+        ("character orthogonality", _check_orthogonality, (min(6, top),), True),
+        ("dimension squares", _check_squares, (min(7, top),), True),
+        ("smith normal form", _check_smith_normal_form, (), True),
+        ("poset symmetry", _check_poset_symmetry, (min(4, top),), True),
+        ("truncation exhaustion", _check_exhaustion, (low_m, low_window), low_m <= low_window),
+        ("polynomiality", _check_polynomiality, (low_m, low_window), low_m < low_window),
+    )
+    return [
+        ("Wedge of spheres", [
+            (f"P({n},{k})", _check_wedge, (n, k))
+            for n in range(1, min(5, n_max) + 1)
+            for k in range(2 * n - 1, min(n + 4, 10, k_max) + 1)
+        ]),
+        ("Weight concentration", [
+            (f"n={n}, k={k}", _check_weight, (n, k))
+            for n in range(0, min(3, n_max) + 1)
+            for k in range(2 * n, min(8, k_max) + 1)
+        ]),
+        ("Kostka reduction", [
+            (f"k={k}", _check_kostka, (k, n_eff))
+            for k in range(1, min(10, k_max) + 1)
+        ]),
+        ("Representable coefficients", [
+            (f"m={m}", _check_representable, (m, m_eff, rep_window))
+            for m in range(0, min(m_eff, rep_window) + 1)
+        ]),
+        ("Dictionary roundtrip", [
+            (label, _check_dictionary, (build, window)) for label, build in modules
+        ]),
+        ("Derivative shift", [
+            (f"{label}, n={n}, i={i}", _check_shift, (build, window, n, i))
+            for label, build in modules
+            for n in shifts
+            for i in shifts
+        ]),
+        ("Representation stability", [
+            (label, _check_stability, (build, window)) for label, build in modules
+        ]),
+        ("Structural suites", [
+            (label, check, args) for label, check, args, holds in structural if holds
+        ]),
+    ]
 
 
 def full_report(n_max: int, k_max: int):
     """Run every report section at the given scale.
 
     Returns ``(doc, tables, all_passed)``; cells are independent and are
-    evaluated in order.
+    evaluated in order.  The tables are rendered from the document's cells.
     """
-    sections = []
-    for title, builder in _REPORT_SECTIONS:
-        sections.append((title, builder(n_max, k_max)))
-
-    def run(cell):
-        try:
-            return cell()
-        except Exception as exc:  # a crashing cell is a failing cell
-            return False, f"{type(exc).__name__}: {exc}"
-
     doc_sections = []
     tables = []
-    all_passed = True
-    for si, (title, cells) in enumerate(sections):
-        rows = []
+    for number, (title, cells) in enumerate(report_sections(n_max, k_max), 1):
         cell_docs = []
-        for label, cell in cells:
-            passed, detail = run(cell)
-            all_passed = all_passed and passed
-            rows.append((label, "PASS" if passed else "FAIL", detail))
+        for label, check, args in cells:
+            try:
+                passed, detail = check(*args)
+            except Exception as exc:  # a crashing cell is a failing cell
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             cell_docs.append({"cell": label, "passed": passed, "detail": detail})
-        if not rows:
-            rows.append(("(no cells at this scale)", "PASS", "nothing to check"))
+        if not cell_docs:
             cell_docs.append(
                 {"cell": "(no cells at this scale)", "passed": True, "detail": "nothing to check"}
             )
         doc_sections.append({"section": title, "cells": cell_docs})
-        tables.append(Table(f"{si + 1}. {title}", ("cell", "status", "detail"), rows))
+        rows = [(c["cell"], "PASS" if c["passed"] else "FAIL", c["detail"]) for c in cell_docs]
+        tables.append(Table(f"{number}. {title}", ("cell", "status", "detail"), rows))
+    all_passed = all(c["passed"] for section in doc_sections for c in section["cells"])
     doc = {
         "operation": "report",
         "n_max": n_max,

@@ -3,9 +3,9 @@
 Everything here is exact: entries are python ints or ``fractions.Fraction``,
 never floats.  ``SparseMatrix`` (one dict per column) is the one matrix type
 of rational work: chain complex differentials, kernels, cokernels, colimit
-structure maps and the matrices of module maps all take and return it.  The
-dense ``Matrix`` is only a small value type for Smith normal form (its input
-and unimodular transforms) and for Specht representation matrices.
+structure maps, Specht matrices and the matrices of module maps all take and
+return it.  The dense ``Matrix`` is only the small value type of Smith normal
+form: its input and unimodular transforms.
 
 All rational elimination runs on one engine, ``VectorReducer``, whose rows
 are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
@@ -56,7 +56,7 @@ def _coerce(x) -> Fraction:
 
 class Matrix:
     """Immutable dense matrix with exact rational entries (row-major): the
-    value type of Smith normal form and of Specht representation matrices."""
+    value type of Smith normal form."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -801,7 +801,7 @@ class RationalComplexHomology:
     spanning the boundaries (inserted plain) and the representatives, each
     inserted with its own tag coordinate placed after the chain space.  So
     ``express`` is a single ``reduce``: the remainder of a cycle has no chain
-    coordinates left and its negated tag entries are the homology
+    coordinates left and its negated tag entries are the nonzero homology
     coordinates (a remainder with chain coordinates left means the vector is
     not a cycle modulo boundaries, and raises ``ValueError``).
     """
@@ -832,9 +832,9 @@ class RationalComplexHomology:
         reps = self.rep_vectors[degree]
         return SparseMatrix(self.complex.dims[degree], len(reps), reps)
 
-    def express(self, degree: int, vec: Sequence[Fraction] | SparseVec) -> list[Fraction]:
-        """Coordinates of a cycle (dense, or sparse as a dict) in the homology
-        basis of the given degree."""
+    def express(self, degree: int, vec: Sequence[Fraction] | SparseVec) -> SparseVec:
+        """Coordinates ``{j: coefficient}`` of a cycle (dense, or sparse as a
+        dict) in the homology basis of the given degree."""
         d = self.complex.dims[degree]
         if not isinstance(vec, dict):
             if len(vec) != d:
@@ -845,7 +845,7 @@ class RationalComplexHomology:
         rem = self._reducers[degree].reduce(vec)
         if rem and min(rem) < d:
             raise ValueError("vector is not a cycle modulo boundaries")
-        return [-rem.get(d + j, Fraction(0)) for j in range(len(self.rep_vectors[degree]))]
+        return {j - d: -x for j, x in rem.items()}
 
 
 # ---------------------------------------------------------------------------

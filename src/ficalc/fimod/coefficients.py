@@ -264,7 +264,7 @@ class CubeStage:
         act = self.action_matrix(perm, degree)
         total = Fraction(0)
         for j, rep in enumerate(self.homology.rep_vectors[degree]):
-            total += self.homology.express(degree, act.apply(rep))[j]
+            total += self.homology.express(degree, act.apply(rep)).get(j, 0)
         return total
 
     def transition_to(self, other: "CubeStage") -> SparseMatrix:
@@ -283,10 +283,7 @@ class CubeStage:
 def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> SparseMatrix:
     """Degree-0 homology matrix of a quotient-level map ``t`` from ``src`` to
     ``tgt``, in their homology bases."""
-    columns = []
-    for rep in src.homology.rep_vectors[0]:
-        coords = tgt.homology.express(0, t.apply(rep))
-        columns.append({i: x for i, x in enumerate(coords) if x})
+    columns = [tgt.homology.express(0, t.apply(rep)) for rep in src.homology.rep_vectors[0]]
     return SparseMatrix(tgt.homology.dims()[0], len(columns), columns)
 
 
@@ -448,8 +445,7 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int):
     boundary-preservation check."""
     src, tgt, t = _sum_over_extensions(module, f, k)
     for col in _boundary_columns(src):
-        coords = tgt.homology.express(0, t.apply(col))
-        if any(coords):
+        if tgt.homology.express(0, t.apply(col)):
             raise InstabilityError(
                 "extension-sum map does not carry boundaries to boundaries"
             )

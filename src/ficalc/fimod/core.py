@@ -21,7 +21,7 @@ from ..combinat import (
     word_from_permutation,
 )
 from ..exactla import SparseMatrix
-from ..symrep import Partition, SpechtRepresentation, check_partition
+from ..symrep import Partition, check_partition, specht_dimension, specht_matrices
 
 
 class WindowError(ValueError):
@@ -184,8 +184,8 @@ def free_module(lam: Partition, max_degree: int) -> FIModule:
     """
     lam = check_partition(lam)
     n = sum(lam)
-    rep = SpechtRepresentation(lam)
-    f = rep.dimension
+    f = specht_dimension(lam)
+    specht = specht_matrices(lam)
     blocks = [list(itertools.combinations(range(k), n)) for k in range(max_degree + 1)]
     dims = [len(b) * f for b in blocks]
     index = [{a: i for i, a in enumerate(b)} for b in blocks]
@@ -199,13 +199,8 @@ def free_module(lam: Partition, max_degree: int) -> FIModule:
                 in_high = i in a
                 if in_low and in_high:
                     p = a.index(i - 1)  # i-1 and i are adjacent in sorted a
-                    gmat = rep.generators[p]
-                    for b in range(f):
-                        col = cols[a_idx * f + b]
-                        for r in range(f):
-                            v = gmat.entry(r, b)
-                            if v:
-                                col[a_idx * f + r] = int(v) if v.denominator == 1 else v
+                    for b, col in enumerate(specht[p].columns):
+                        cols[a_idx * f + b] = {a_idx * f + r: v for r, v in col.items()}
                 elif in_low or in_high:
                     moved = tuple(sorted((x for x in a if x not in (i - 1, i))) )
                     new = tuple(sorted(moved + ((i,) if in_low else (i - 1,))))

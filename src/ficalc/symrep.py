@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import permutation_sign, word_from_permutation
-from .exactla import CrossCheckError, Matrix
+from .combinat import permutation_sign
+from .exactla import CrossCheckError, SparseMatrix
 
 Partition = tuple[int, ...]
 
@@ -437,7 +437,7 @@ def _apply_to_entries(t: Tableau, perm: tuple[int, ...]) -> Tableau:
     return tuple(tuple(perm[x - 1] + 1 for x in row) for row in t)
 
 
-def specht_matrices(lam: Partition) -> list[Matrix]:
+def specht_matrices(lam: Partition) -> list[SparseMatrix]:
     """Integer matrices of the adjacent transpositions on the Specht module.
 
     Basis: standard polytabloids in sorted tableau order.  Entry (r, c) is
@@ -454,34 +454,12 @@ def specht_matrices(lam: Partition) -> list[Matrix]:
         perm = list(range(n))
         perm[g - 1], perm[g] = perm[g], perm[g - 1]
         perm = tuple(perm)
-        entries = [[0] * d for _ in range(d)]
-        for c, t in enumerate(basis):
-            for std, coeff in _straighten(lam, _apply_to_entries(t, perm)):
-                entries[index[std]][c] = coeff
-        mats.append(Matrix.from_rows(entries, d))
+        columns = [
+            {index[std]: coeff for std, coeff in _straighten(lam, _apply_to_entries(t, perm))}
+            for t in basis
+        ]
+        mats.append(SparseMatrix(d, d, columns))
     return mats
-
-
-class SpechtRepresentation:
-    """Matrices of arbitrary permutations on the Specht module of shape lam."""
-
-    def __init__(self, lam: Partition):
-        self.lam = check_partition(lam)
-        self.n = sum(self.lam)
-        self.dimension = specht_dimension(self.lam) if self.lam or self.n == 0 else 1
-        self.generators = specht_matrices(self.lam)
-        self._cache: dict[tuple[int, ...], Matrix] = {}
-
-    def matrix(self, perm: tuple[int, ...]) -> Matrix:
-        if len(perm) != self.n:
-            raise ValueError("permutation degree mismatch")
-        m = self._cache.get(perm)
-        if m is None:
-            m = Matrix.identity(self.dimension)
-            for i in word_from_permutation(perm):
-                m = m @ self.generators[i - 1]
-            self._cache[perm] = m
-        return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the fi-calc command line driver."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficalc import symrep
+from ficalc import cli, symrep
 from ficalc.cli import full_report, main
 from ficalc.symrep import gn_dimension, kostka
 
@@ -248,6 +249,47 @@ def test_report_passes_at_every_small_window():
             doc, _, passed = full_report(n_max, k_max)
             failing = [c for s in doc["sections"] for c in s["cells"] if not c["passed"]]
             assert passed and not failing, (n_max, k_max, failing)
+
+
+# sha256 of the report's stdout; any change to which cells run at a scale, to
+# a label or to a detail string changes these bytes
+REPORT_DIGESTS = {
+    (0, 0, "json"): "adc0c0a9621e959d89e83b1032dddf20815411e54b160f2e9aa09bd5ab26d7bd",
+    (1, 3, "json"): "daf02b1f5eedeebbd52aeb7b870f999253f992905fe00b18f5dbc038ad8a2d23",
+    (2, 2, "json"): "70697d8c38b85ed2607fca4f11cbf5d5c3a57469e8353b5184c6e0acf766c1d0",
+    (2, 5, "json"): "9e9236f3ec9a226d660b13af9ab7696fd9702f67445d1fd0b9ed69a038265c8c",
+    (3, 7, "json"): "a5f503ca85bdf4f5256fd64ccc5fbfbddd140821c5bc35df5a4b667bab741d0a",
+    (5, 6, "json"): "117877830db68f3f8f183003a89574aa53bf7428a3475671fb1408c5fd19390d",
+    (1, 3, "markdown"): "27d03f7611fbf20e41bfe0bd6cd58058c06b997e0297653e7c90c9e9a4f2e648",
+    (3, 7, "markdown"): "e6e9fd2f048144d3802aa6db2d8025305b6f3d17186d08e52dae05a5ae6e6585",
+    (1, 3, "csv"): "3ae707884e0e4153fe3c1948445afe2b63d1d447105af0648ea209f94b078d11",
+    (3, 7, "csv"): "635e709300537d62b35fd131e3839bca41a12fc29248ba038574026f4efba4cc",
+}
+
+
+@pytest.mark.parametrize("n_max,k_max,fmt", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(capsys, n_max, k_max, fmt):
+    code, out = run(capsys, "report", "--n-max", str(n_max), "--k-max", str(k_max), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[n_max, k_max, fmt]
+
+
+def test_crashing_cell_is_a_failing_cell(capsys, monkeypatch):
+    def boom(n, k):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "wedge_certificate", boom)
+    code, out = run(capsys, "report", "--n-max", "1", "--k-max", "3", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    wedge, *others = doc["sections"]
+    assert wedge["section"] == "Wedge of spheres"
+    assert [c["cell"] for c in wedge["cells"]] == ["P(1,1)", "P(1,2)", "P(1,3)"]
+    for cell in wedge["cells"]:
+        assert cell["passed"] is False and cell["detail"] == "RuntimeError: boom"
+    assert len(others) == 7
+    assert all(cell["passed"] for section in others for cell in section["cells"])
 
 
 @pytest.mark.parametrize("command", [["predict", "--k", "3", "--max-index", "-1"], ["coefficients", "--max-index", "-2"]])

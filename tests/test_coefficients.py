@@ -339,7 +339,7 @@ def _tail_trace(module, n, k, solver, tau, degree):
             block = {c - off: v for c, v in rep.items() if off <= c < off + d}
             w = module.apply_permutation(s + k, perm, block)
             image.update((off + r, x) for r, x in w.items())
-        trace += solver.express(degree, image)[j]
+        trace += solver.express(degree, image).get(j, 0)
     return trace
 
 
