@@ -16,7 +16,9 @@ pivots are all ±1 is eliminated in ``int`` arithmetic.
 Integral homology first coreduces the complex (``_coreduce``): pairs of
 cells joined by a ±1 boundary entry are deleted across all degrees, with no
 arithmetic, and only the residue's differentials reach Smith normal form
-(``_SnfWorker``, the one integer elimination).
+(``_SnfWorker``, the one integer elimination).  It keeps the matrix both by
+rows and by columns, so each elementary operation is written once: a column
+operation is the row operation on the mirrored copy.
 """
 
 from __future__ import annotations
@@ -412,185 +414,125 @@ def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
 
 
 class _SnfWorker:
-    """Shared integer elimination core for Smith normal form.
+    """The one integer elimination: Smith normal form by pivoting.
 
-    Operates on a dict-of-dicts sparse copy; pivots are chosen with smallest
-    absolute value first, then smallest Markowitz fill, then position, which
-    keeps both fill-in and coefficient growth tame on incidence-like inputs.
-    When ``accumulate`` is set, the unimodular row/column transforms are
-    tracked densely (fine at desk scale).
+    The matrix is kept twice, ``lines[0]`` by rows and ``lines[1]`` by
+    columns, each line a dict {index: int} with no zero entries, so a column
+    operation is the row operation on the mirrored copy: ``axpy`` and
+    ``swap`` take the side they act on, and ``_set`` writes an entry and its
+    mirror.  Pivots are chosen with smallest absolute value first, then
+    smallest Markowitz fill, then position, which keeps both fill-in and
+    coefficient growth tame on incidence-like inputs.  When ``accumulate`` is
+    set, the unimodular transforms are tracked densely (fine at desk scale),
+    one per side: ``U`` for rows and the transpose of ``V`` for columns.
     """
 
     def __init__(self, a: Matrix, accumulate: bool):
         if not a.is_integral():
             raise ValueError("Smith normal form requires an integer matrix")
-        self.nrows, self.ncols = a.rows, a.cols
-        self.row: dict[int, dict[int, int]] = {}
-        self.colix: dict[int, set[int]] = {}
+        self.lines = tuple([{} for _ in range(n)] for n in (a.rows, a.cols))
         for i, r in enumerate(a.data):
             for j, x in enumerate(r):
                 if x:
-                    self.row.setdefault(i, {})[j] = int(x)
-                    self.colix.setdefault(j, set()).add(i)
-        self.accumulate = accumulate
+                    self._set(0, i, j, int(x))
+        self.transforms = None
         if accumulate:
-            self.U = [[1 if i == j else 0 for j in range(self.nrows)] for i in range(self.nrows)]
-            self.V = [[1 if i == j else 0 for j in range(self.ncols)] for i in range(self.ncols)]
+            self.transforms = tuple(
+                [[1 if i == j else 0 for j in range(n)] for i in range(n)] for n in (a.rows, a.cols)
+            )
 
-    # elementary operations (mirrored into U/V when accumulating) ---------
-    def _set(self, i: int, j: int, v: int) -> None:
+    # elementary operations on one side (0: rows, 1: columns), mirrored into
+    # the other copy and, when accumulating, into that side's transform -----
+    def _set(self, side: int, x: int, y: int, v: int) -> None:
+        mine, mirror = self.lines[side][x], self.lines[1 - side][y]
         if v:
-            self.row.setdefault(i, {})[j] = v
-            self.colix.setdefault(j, set()).add(i)
+            mine[y] = mirror[x] = v
         else:
-            r = self.row.get(i)
-            if r and j in r:
-                del r[j]
-                if not r:
-                    del self.row[i]
-                s = self.colix.get(j)
-                if s:
-                    s.discard(i)
-                    if not s:
-                        del self.colix[j]
+            mine.pop(y, None)
+            mirror.pop(x, None)
 
-    def row_axpy(self, dst: int, src: int, c: int) -> None:
-        """row[dst] += c * row[src]"""
+    def axpy(self, side: int, dst: int, src: int, c: int) -> None:
+        """line[dst] += c * line[src]; ``axpy(side, t, t, -2)`` negates line t."""
         if not c:
             return
-        for j, v in list(self.row.get(src, {}).items()):
-            self._set(dst, j, self.row.get(dst, {}).get(j, 0) + c * v)
-        if self.accumulate:
-            ur = self.U
-            ur[dst] = [a + c * b for a, b in zip(ur[dst], ur[src])]
+        line = self.lines[side][dst]
+        for y, v in list(self.lines[side][src].items()):
+            self._set(side, dst, y, line.get(y, 0) + c * v)
+        if self.transforms:
+            tr = self.transforms[side]
+            tr[dst] = [x + c * y for x, y in zip(tr[dst], tr[src])]
 
-    def col_axpy(self, dst: int, src: int, c: int) -> None:
-        """col[dst] += c * col[src]"""
-        if not c:
-            return
-        for i in list(self.colix.get(src, set())):
-            v = self.row.get(i, {}).get(src, 0)
-            self._set(i, dst, self.row.get(i, {}).get(dst, 0) + c * v)
-        if self.accumulate:
-            for r in self.V:
-                r[dst] += c * r[src]
-
-    def row_swap(self, a: int, b: int) -> None:
+    def swap(self, side: int, a: int, b: int) -> None:
+        """Exchange lines a and b.  A mirror line holding both keys exchanges
+        their values in place; one holding a single key pops it and appends
+        the other, so the row dicts keep the insertion order ``_pick_pivot``
+        reads."""
         if a == b:
             return
-        ra, rb = self.row.get(a, {}), self.row.get(b, {})
-        for j in set(ra) | set(rb):
-            s = self.colix.setdefault(j, set())
-            s.discard(a)
-            s.discard(b)
-        if ra:
-            self.row[b] = ra
-        else:
-            self.row.pop(b, None)
-        if rb:
-            self.row[a] = rb
-        else:
-            self.row.pop(a, None)
-        for j in self.row.get(a, {}):
-            self.colix.setdefault(j, set()).add(a)
-        for j in self.row.get(b, {}):
-            self.colix.setdefault(j, set()).add(b)
-        if self.accumulate:
-            self.U[a], self.U[b] = self.U[b], self.U[a]
-
-    def col_swap(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        rows = self.colix.get(a, set()) | self.colix.get(b, set())
-        for i in rows:
-            r = self.row.get(i, {})
-            va, vb = r.get(a, 0), r.get(b, 0)
-            self._set(i, a, vb)
-            self._set(i, b, va)
-        if self.accumulate:
-            for r in self.V:
-                r[a], r[b] = r[b], r[a]
-
-    def row_negate(self, i: int) -> None:
-        for j, v in list(self.row.get(i, {}).items()):
-            self.row[i][j] = -v
-        if self.accumulate:
-            self.U[i] = [-x for x in self.U[i]]
+        lines = self.lines[side]
+        lines[a], lines[b] = lines[b], lines[a]
+        for y in lines[a].keys() | lines[b].keys():
+            mirror = self.lines[1 - side][y]
+            if a in mirror and b in mirror:
+                mirror[a], mirror[b] = mirror[b], mirror[a]
+            elif a in mirror:
+                mirror[b] = mirror.pop(a)
+            else:
+                mirror[a] = mirror.pop(b)
+        if self.transforms:
+            tr = self.transforms[side]
+            tr[a], tr[b] = tr[b], tr[a]
 
     # main loop ------------------------------------------------------------
     def run(self) -> list[int]:
-        t = 0
-        limit = min(self.nrows, self.ncols)
         diag: list[int] = []
-        while t < limit:
+        for t in range(min(map(len, self.lines))):
             pivot = self._pick_pivot(t)
             if pivot is None:
                 break
-            pr, pc = pivot
-            self.row_swap(t, pr)
-            self.col_swap(t, pc)
+            self.swap(0, t, pivot[0])
+            self.swap(1, t, pivot[1])
             while True:
-                # clear column t
-                changed = False
-                for i in sorted(self.colix.get(t, set())):
-                    if i == t or i < t:
-                        continue
-                    a = self.row[i].get(t, 0)
-                    if not a:
-                        continue
-                    p = self.row[t][t]
-                    q = a // p
-                    self.row_axpy(i, t, -q)
-                    rem = self.row.get(i, {}).get(t, 0)
-                    if rem:
-                        # remainder strictly smaller than |p|: promote it
-                        self.row_swap(t, i)
-                        changed = True
-                        break
-                if changed:
-                    continue
-                # clear row t
-                changed = False
-                for j in sorted(self.row.get(t, {})):
-                    if j <= t:
-                        continue
-                    a = self.row[t][j]
-                    p = self.row[t][t]
-                    q = a // p
-                    self.col_axpy(j, t, -q)
-                    rem = self.row.get(t, {}).get(j, 0)
-                    if rem:
-                        self.col_swap(t, j)
-                        changed = True
-                        break
-                if changed:
+                # clear column t, then row t; a remainder promoted restarts
+                if self._clear(0, t) or self._clear(1, t):
                     continue
                 # both clear; enforce divisibility of the remaining block
-                p = self.row[t][t]
-                bad = self._find_nondivisible(t, p)
+                bad = self._find_nondivisible(t, self.lines[0][t][t])
                 if bad is None:
                     break
-                self.row_axpy(t, bad, 1)
-            p = self.row[t][t]
+                self.axpy(0, t, bad, 1)
+            p = self.lines[0][t][t]
             if p < 0:
-                self.row_negate(t)
+                self.axpy(0, t, t, -2)
                 p = -p
             diag.append(p)
-            t += 1
         return diag
+
+    def _clear(self, side: int, t: int) -> bool:
+        """Reduce the entries of the mirror line t beyond the pivot by side
+        operations against line t.  On a nonzero remainder, strictly smaller
+        than the pivot, swap its line into place and return True."""
+        mirror = self.lines[1 - side][t]
+        p = self.lines[0][t][t]
+        for x in sorted(mirror):
+            if x <= t:
+                continue
+            self.axpy(side, x, t, -(mirror[x] // p))
+            if x in mirror:
+                self.swap(side, t, x)
+                return True
+        return False
 
     def _pick_pivot(self, t: int) -> tuple[int, int] | None:
         best = None
-        for i in sorted(self.row):
-            if i < t:
-                continue
-            ri = self.row[i]
+        rows, cols = self.lines
+        for i in range(t, len(rows)):
+            ri = rows[i]
             # rows and columns before t hold only their diagonal entry, so
             # every entry of row i and column j lies in the trailing block
             rlen = len(ri)
             for j, v in ri.items():
-                clen = len(self.colix[j])
-                key = (abs(v), (rlen - 1) * (clen - 1), i, j)
+                key = (abs(v), (rlen - 1) * (len(cols[j]) - 1), i, j)
                 if best is None or key < best[0]:
                     best = (key, (i, j))
                     if key[0] == 1 and key[1] == 0:
@@ -600,10 +542,8 @@ class _SnfWorker:
     def _find_nondivisible(self, t: int, p: int) -> int | None:
         if p in (1, -1):
             return None
-        for i in sorted(self.row):
-            if i <= t:
-                continue
-            for j, v in self.row[i].items():
+        for i in range(t + 1, len(self.lines[0])):
+            for j, v in self.lines[0][i].items():
                 if j > t and v % p:
                     return i
         return None
@@ -621,10 +561,11 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     d = [[0] * a.cols for _ in range(a.rows)]
     for i, x in enumerate(diag):
         d[i][i] = x
+    u, vt = w.transforms
     return (
-        Matrix.from_rows(w.U, a.rows),
+        Matrix.from_rows(u, a.rows),
         Matrix.from_rows(d, a.cols),
-        Matrix.from_rows(w.V, a.cols),
+        Matrix.from_rows(list(zip(*vt)), a.cols),
     )
 
 

@@ -22,6 +22,7 @@ n-1, with no boundary left for Smith normal form (M_{4,7}: 225 of 1,960).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .combinat import Matching, PartialBijectionPoset, build_poset
@@ -91,6 +92,25 @@ def order_complex(poset: PartialBijectionPoset) -> OrderComplex:
     for v in range(count):
         grow((v,))
     return OrderComplex(count, tuple(tuple(sorted(batch)) for batch in chains))
+
+
+def nerve_sizes(n: int, k: int) -> tuple[int, ...]:
+    """Simplices of the nerve of P(n,k) per dimension, without building it.
+
+    A chain of j+1 matchings topped by an m-pair matching is an ordered
+    partition of its m pairs into j+1 blocks, so dimension j holds
+    sum_m C(n,m) C(k,m) m! surj(m, j+1) simplices, where
+    surj(m, r) = sum_i (-1)^i C(r,i) (r-i)^m counts surjections.
+    """
+    top = min(n, k)
+
+    def surjections(m: int, r: int) -> int:
+        return sum((-1) ** i * math.comb(r, i) * (r - i) ** m for i in range(r + 1))
+
+    return tuple(
+        sum(math.comb(n, m) * math.perm(k, m) * surjections(m, j + 1) for m in range(1, top + 1))
+        for j in range(top)
+    )
 
 
 def chessboard_complex(n: int, k: int) -> OrderComplex:

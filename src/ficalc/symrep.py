@@ -97,6 +97,8 @@ class ClassFunction:
 
     def __call__(self, cycle_type) -> Fraction:
         ct = check_partition(cycle_type) if cycle_type else ()
+        if sum(ct) != self.n:
+            raise ValueError(f"cycle type {ct} is not a partition of n = {self.n}")
         return self.values[partitions_of(self.n).index(ct)]
 
     @property

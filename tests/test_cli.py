@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from ficalc import cli, symrep
 from ficalc.cli import full_report, main
+from ficalc.combinat import build_poset
+from ficalc.nervehom import complex_homology, connectivity_check, order_complex
 from ficalc.symrep import gn_dimension, kostka
 
 
@@ -153,6 +155,42 @@ def test_homology_below_certified_range_has_no_claim(capsys):
 
 def test_homology_rejects_degenerate_sizes(capsys):
     assert main(["homology", "--n", "0", "--k", "3"]) == 2
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3), (3, 5)])
+def test_homology_document_equals_one_built_from_the_nerve(capsys, n, k):
+    nerve = order_complex(build_poset(n, k))
+    result = complex_homology(nerve)
+    expected = {
+        "operation": "homology",
+        "n": n,
+        "k": k,
+        "vertices": nerve.vertex_count,
+        "simplices": [len(batch) for batch in nerve.simplices],
+        "euler_characteristic": nerve.euler_characteristic(),
+        "connected": connectivity_check(n, k),
+        "betti": list(result.betti),
+        "torsion": [list(t) for t in result.torsion],
+    }
+    if k >= 2 * n - 1:
+        expected["wedge"] = {"degree": n - 1, "rank": gn_dimension(n, k)}
+    code, out = run(capsys, "homology", "--n", str(n), "--k", str(k))
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_homology_never_builds_the_nerve_but_the_report_does(capsys, monkeypatch):
+    def boom(poset):
+        raise RuntimeError("nerve built")
+
+    monkeypatch.setattr(cli, "order_complex", boom)
+    code, out = run(capsys, "homology", "--n", "3", "--k", "5")
+    assert code == 0
+    assert json.loads(out)["wedge"] == {"degree": 2, "rank": gn_dimension(3, 5)}
+    doc, _tables, passed = full_report(1, 3)
+    cells = {c["cell"]: c for section in doc["sections"] for c in section["cells"]}
+    assert not passed
+    assert cells["poset symmetry"]["detail"] == "RuntimeError: nerve built"
 
 
 def test_decompose_and_predict_agree(tmp_path, capsys):

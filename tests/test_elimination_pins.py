@@ -7,6 +7,9 @@ matrices, entry for entry, whatever elimination engine or pivot bookkeeping
 computes them.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +21,7 @@ from ficalc.exactla import (
     SparseMatrix,
     cokernel,
     homology,
+    invariant_factors,
     kernel_basis,
     smith_normal_form,
 )
@@ -170,3 +174,30 @@ def test_pinned_smith_transforms(a, u, diag, v):
     assert got_u == Matrix.from_rows(u)
     assert [got_d.entry(i, i) for i in range(len(diag))] == diag
     assert got_v == Matrix.from_rows(v)
+
+
+def _random_integer_matrices(count: int, seed: int):
+    """Seeded integer matrices up to 7x7, empty shapes (0xk, kx0) included,
+    of mixed density and with entries bounded by 1, 3 or 50."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.choice((0.15, 0.4, 1.0))
+        bound = rng.choice((1, 3, 50))
+        entries = [
+            rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(rows * cols)
+        ]
+        yield Matrix(rows, cols, entries)
+
+
+def test_pinned_smith_normal_form_digest():
+    """U, D, V and the invariant factors of 1,000 random matrices, pinned as
+    one digest: a change in any pivot choice or elimination step shows."""
+    results = []
+    for a in _random_integer_matrices(1000, seed=13):
+        u, d, v = smith_normal_form(a)
+        results.append(
+            [[[int(x) for x in r] for r in m.data] for m in (u, d, v)] + [invariant_factors(a)]
+        )
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "a2e8bafac5a7f281b01214cf2e1ae7cca9b4ef8ba8198d6e7366b48e6a6c8679"

@@ -12,6 +12,7 @@ from ficalc.nervehom import (
     chessboard_complex,
     complex_homology,
     connectivity_check,
+    nerve_sizes,
     order_complex,
     wedge_certificate,
 )
@@ -157,6 +158,17 @@ def test_betti_numbers_symmetric_in_both_sizes():
     for n in range(1, 4):
         for k in range(n + 1, 5):
             assert padded(n, k) == padded(k, n), (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(0, 4) for k in range(0, 7)] + [(4, 7)])
+def test_nerve_sizes_count_the_order_complex(n, k):
+    nerve = order_complex(build_poset(n, k))
+    assert nerve_sizes(n, k) == tuple(len(batch) for batch in nerve.simplices)
+
+
+def test_nerve_sizes_at_the_guard_corner():
+    # 18,346,190 simplices: the nerve of P(5,10) is counted, never built
+    assert nerve_sizes(5, 10) == (63590, 1305000, 5486400, 7862400, 3628800)
 
 
 def test_chessboard_complex_faces_are_the_poset_elements():

@@ -232,6 +232,14 @@ def test_class_function_dimension():
     assert chi((3,)) == -1
 
 
+@pytest.mark.parametrize("cycle_type", [(2, 2), (2,), ()])
+def test_class_function_rejects_a_cycle_type_of_another_size(cycle_type):
+    chi = irreducible_class_function((2, 1))
+    with pytest.raises(ValueError) as excinfo:
+        chi(cycle_type)
+    assert str(excinfo.value) == f"cycle type {cycle_type} is not a partition of n = 3"
+
+
 def test_specht_matrices_satisfy_coxeter_relations():
     for lam in [(2, 1), (2, 2), (3, 1), (2, 1, 1)]:
         mats = specht_matrices(lam)
