@@ -152,7 +152,7 @@ def _render(fmt: str, doc, heading: str, tables: list) -> str:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

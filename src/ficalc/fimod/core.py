@@ -242,10 +242,6 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _unit(b: int) -> dict:
-    return {b: 1}
-
-
 def validate(module: FIModule) -> ValidationReport:
     """Structural validity: Coxeter relations, inclusion equivariance and tail
     invariance.
@@ -265,16 +261,14 @@ def validate(module: FIModule) -> ValidationReport:
         d = module.dims[k]
         for i in range(1, k):
             g = gens[i - 1]
-            for b in range(d):
-                if g.apply(g.apply(_unit(b))) != _unit(b):
+            for b, column in enumerate(g.columns):
+                if g.apply(column) != {b: 1}:
                     violations.append(f"degree {k}: Coxeter involution fails for generator {i}")
                     break
         for i in range(1, k - 1):
             a, bgen = gens[i - 1], gens[i]
             for b in range(d):
-                lhs = a.apply(bgen.apply(a.apply(_unit(b))))
-                rhs = bgen.apply(a.apply(bgen.apply(_unit(b))))
-                if lhs != rhs:
+                if a.apply(bgen.apply(a.columns[b])) != bgen.apply(a.apply(bgen.columns[b])):
                     violations.append(
                         f"degree {k}: Coxeter braid relation fails at generators ({i}, {i+1})"
                     )
@@ -282,12 +276,7 @@ def validate(module: FIModule) -> ValidationReport:
         for i in range(1, k):
             for j in range(i + 2, k):
                 a, c = gens[i - 1], gens[j - 1]
-                ok = True
-                for b in range(d):
-                    if a.apply(c.apply(_unit(b))) != c.apply(a.apply(_unit(b))):
-                        ok = False
-                        break
-                if not ok:
+                if any(a.apply(c.columns[b]) != c.apply(a.columns[b]) for b in range(d)):
                     violations.append(
                         f"degree {k}: Coxeter commutation fails at generators ({i}, {j})"
                     )
@@ -297,7 +286,7 @@ def validate(module: FIModule) -> ValidationReport:
         for i in range(1, k):
             low, high = module.transpositions[k][i - 1], module.transpositions[k + 1][i - 1]
             for b in range(module.dims[k]):
-                if inc.apply(low.apply(_unit(b))) != high.apply(inc.apply(_unit(b))):
+                if inc.apply(low.columns[b]) != high.apply(inc.columns[b]):
                     violations.append(
                         f"inclusion {k}->{k+1}: equivariance fails for generator {i}"
                     )
@@ -305,8 +294,8 @@ def validate(module: FIModule) -> ValidationReport:
 
     for m in range(k_max - 1):
         swap = module.transpositions[m + 2][m]
-        for b in range(module.dims[m]):
-            image = module.inclusions[m + 1].apply(module.inclusions[m].apply(_unit(b)))
+        for column in module.inclusions[m].columns:
+            image = module.inclusions[m + 1].apply(column)
             if swap.apply(image) != image:
                 violations.append(
                     f"degree {m + 2}: generator {m + 1} moves the image of degree {m}"

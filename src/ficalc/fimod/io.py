@@ -9,11 +9,13 @@ string.  Anything else is rejected with a message naming the offending field.
 
 Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
 an integral module stays in ``int`` arithmetic.  Loading visits only the
-nonzero entries once a whole entry list is known to hold nothing but ints and
-non-empty strings.  A saved file, and the text of ``dumps_module`` that
-``fi-calc representable`` and ``fi-calc free`` print, holds exactly the bytes
-of ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; the lists of
-scalars are rendered by the C encoder, which ``indent`` would switch off.
+nonzero entries once a whole entry list is known, from the set of its entry
+types, to hold nothing but ints and non-empty strings.  A saved file, and the
+text of ``dumps_module`` that ``fi-calc representable`` and ``fi-calc free``
+print, holds exactly the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` and a newline.  ``dumps_module`` writes each entry list
+from the matrix's sparse columns: the nonzero entries one by one and each run
+of zeros between them as one repeated string, never a dense list.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 from ..exactla import SparseMatrix
 from .core import FIModule, ModuleFormatError
 
-_FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 _TOP_FIELDS = {
     "name",
     "max_degree",
@@ -55,55 +57,101 @@ def _matrix_out(m: SparseMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def module_to_json(module: FIModule) -> dict:
-    """The JSON-ready document for a module."""
+def _document(module: FIModule, matrix) -> dict:
+    """The module's document, each matrix given as ``matrix(m)``."""
     return {
         "name": module.name,
         "max_degree": module.max_degree,
         "generation_bound": module.generation_bound,
         "dims": list(module.dims),
         "transpositions": {
-            str(k): [_matrix_out(g) for g in module.transpositions[k]]
+            str(k): [matrix(g) for g in module.transpositions[k]]
             for k in range(2, module.max_degree + 1)
         },
-        "inclusions": [_matrix_out(m) for m in module.inclusions],
+        "inclusions": [matrix(m) for m in module.inclusions],
     }
 
 
-def _dumps(value, pad: str) -> str:
-    """``value`` laid out as ``json.dumps(value, indent=2, sort_keys=True)`` lays
-    it out at the depth of ``pad`` (a newline and the indentation).
+def module_to_json(module: FIModule) -> dict:
+    """The JSON-ready document for a module."""
+    return _document(module, _matrix_out)
 
-    A module document's lists hold only objects or only scalars; a list of
-    scalars is rendered in one call to the C encoder, with the newline and
-    indentation folded into its item separator.
-    """
+
+def _sparse_out(m: SparseMatrix) -> dict:
+    """A matrix object whose entry list ``_dumps`` renders from ``m`` itself."""
+    return {"rows": m.rows, "cols": m.cols, "entries": m}
+
+
+def _entries_dumps(m: SparseMatrix, pad: str, out: list) -> None:
+    """Append the row-major entry list of ``m`` as ``_dumps`` lays out a list
+    at the depth of ``pad``, writing each run of zeros as one repeated string."""
+    n = m.rows * m.cols
+    if not n:
+        out.append("[]")
+        return
     inner = pad + "  "
+    sep = "," + inner
+    zero = "0" + sep
+    nonzero = sorted(
+        (r * m.cols + c, v) for c, column in enumerate(m.columns) for r, v in column.items()
+    )
+    out.append("[" + inner)
+    pos = 0
+    for idx, v in nonzero:
+        v = _entry_out(v)
+        out += (zero * (idx - pos), str(v) if type(v) is int else f'"{v}"', sep)
+        pos = idx + 1
+    if pos < n:
+        out += (zero * (n - 1 - pos), "0")
+    else:
+        out.pop()  # the separator after the last entry
+    out.append(pad + "]")
+
+
+def _dumps(value, pad: str, out: list) -> None:
+    """Append to ``out`` the pieces of ``value`` laid out as ``json.dumps(value,
+    indent=2, sort_keys=True)`` lays it out at the depth of ``pad`` (a newline
+    and the indentation).
+
+    A ``SparseMatrix`` stands for its dense row-major entry list, which is
+    rendered from the nonzero entries alone.
+    """
+    if isinstance(value, SparseMatrix):
+        _entries_dumps(value, pad, out)
+        return
     if isinstance(value, dict):
-        items = [json.dumps(key) + ": " + _dumps(value[key], inner) for key in sorted(value)]
+        items = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
         brackets = "{}"
-    elif isinstance(value, list) and value and isinstance(value[0], dict):
-        items = [_dumps(item, inner) for item in value]
-        brackets = "[]"
     elif isinstance(value, list):
-        items = [json.dumps(value, separators=("," + inner, ": "))[1:-1]] if value else []
+        items = [("", item) for item in value]
         brackets = "[]"
     else:
-        return json.dumps(value)
+        out.append(json.dumps(value))
+        return
     if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    sep = brackets[0] + inner
+    for key, item in items:
+        out.append(sep + key)
+        _dumps(item, inner, out)
+        sep = "," + inner
+    out.append(pad + brackets[1])
 
 
 def dumps_module(module: FIModule) -> str:
     """The module's document as text: ``json.dumps(module_to_json(module),
     indent=2, sort_keys=True)`` and a newline."""
-    return _dumps(module_to_json(module), "\n") + "\n"
+    out: list[str] = []
+    _dumps(_document(module, _sparse_out), "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def save_module(module: FIModule, path) -> None:
     """Write the module to ``path``; identical modules produce identical bytes."""
-    Path(path).write_text(dumps_module(module))
+    Path(path).write_text(dumps_module(module), encoding="utf-8")
 
 
 def _expect_natural(value, what: str) -> int:
@@ -118,7 +166,7 @@ def _entry_in(value, where: str) -> int | Fraction:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, str):
-        match = _FRACTION_RE.match(value)
+        match = _FRACTION_RE.fullmatch(value)
         if not match:
             raise ModuleFormatError(f"{where}: malformed entry {value!r}")
         p, q = int(match.group(1)), int(match.group(2))
@@ -130,6 +178,8 @@ def _entry_in(value, where: str) -> int | Fraction:
             )
         if gcd(abs(p), q) != 1:
             raise ModuleFormatError(f"{where}: {value!r} is not in lowest terms")
+        if f"{p}/{q}" != value:
+            raise ModuleFormatError(f"{where}: {value!r} has leading zeros")
         return Fraction(p, q)
     raise ModuleFormatError(f"{where}: entry {value!r} has unsupported type")
 
@@ -152,7 +202,8 @@ def _matrix_in(doc, where: str) -> SparseMatrix:
         )
     mat = SparseMatrix(rows, cols)
     indices = range(len(entries))
-    if set(map(type, entries)) <= _ENTRY_TYPES and "" not in entries:
+    types = set(map(type, entries))
+    if types <= _ENTRY_TYPES and (str not in types or "" not in entries):
         # Every falsy entry is then the valid int 0: read only the others.
         indices = compress(indices, entries)
     for idx in indices:
@@ -226,9 +277,11 @@ def load_module(path) -> FIModule:
     Missing files surface as the usual ``OSError``; malformed content raises
     :class:`ModuleFormatError`.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModuleFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModuleFormatError("not valid JSON: nested too deeply to parse") from exc
     return module_from_json(doc)

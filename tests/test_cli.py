@@ -60,6 +60,19 @@ def test_validate_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_deeply_nested_file_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    assert main(["validate", str(garbage)]) == 1
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fi-calc validate: not valid JSON: nested too deeply to parse\n"
+
+
 def test_validate_flags_corrupted_module(tmp_path, capsys):
     path = make_module_file(
         tmp_path, capsys, "representable", "--n", "2", "--max-degree", "4"

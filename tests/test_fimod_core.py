@@ -204,3 +204,67 @@ def test_validate_rejects_sign_module():
     report = validate(sign)
     assert not report.valid
     assert all("moves the image" in v for v in report.violations)
+
+
+def _rebuilt(module, transpositions=None, inclusions=None):
+    """The module with some generators (``{(degree, index): matrix}``) and
+    inclusions (``{degree: matrix}``) replaced."""
+    gens = [list(batch) for batch in module.transpositions]
+    for (k, i), matrix in (transpositions or {}).items():
+        gens[k][i] = matrix
+    incs = list(module.inclusions)
+    for k, matrix in (inclusions or {}).items():
+        incs[k] = matrix
+    return FIModule("broken", module.max_degree, module.generation_bound, module.dims, gens, incs)
+
+
+def _broken_once(family):
+    """representable(1, 5), whose degree-k basis is the k points, broken by one
+    replaced matrix chosen to fail the named family of checks."""
+    module = representable(1, 5)
+    if family == "involution":  # generator 1 at degree 3 doubled
+        doubled = SparseMatrix(3, 3, [{0: 2}, {1: 2}, {2: 2}])
+        return _rebuilt(module, {(3, 0): module.transpositions[3][0].compose(doubled)})
+    if family == "braid":  # generator 2 at degree 3 the identity
+        return _rebuilt(module, {(3, 1): SparseMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}])})
+    if family == "commutation":  # generator 3 at degree 4 equal to generator 2
+        return _rebuilt(module, {(4, 2): module.transpositions[4][1]})
+    if family == "equivariance":  # inclusion 2 -> 3 followed by generator 2
+        moved = module.transpositions[3][1].compose(module.inclusions[2])
+        return _rebuilt(module, inclusions={2: moved})
+    if family == "tail":  # inclusion 1 -> 2 sends the point to the second point
+        return _rebuilt(module, inclusions={1: SparseMatrix(2, 1, [{1: 1}])})
+    raise ValueError(family)
+
+
+# The violations of each broken module, in order, as validate reported them
+# before it fed stored columns in place of images of unit vectors.
+BROKEN_ONCE_VIOLATIONS = {
+    "involution": [
+        "degree 3: Coxeter involution fails for generator 1",
+        "degree 3: Coxeter braid relation fails at generators (1, 2)",
+        "inclusion 2->3: equivariance fails for generator 1",
+        "inclusion 3->4: equivariance fails for generator 1",
+    ],
+    "braid": [
+        "degree 3: Coxeter braid relation fails at generators (1, 2)",
+        "inclusion 3->4: equivariance fails for generator 2",
+    ],
+    "commutation": [
+        "degree 4: Coxeter commutation fails at generators (1, 3)",
+        "inclusion 4->5: equivariance fails for generator 3",
+        "degree 4: generator 3 moves the image of degree 2",
+    ],
+    "equivariance": [
+        "inclusion 2->3: equivariance fails for generator 1",
+        "degree 4: generator 3 moves the image of degree 2",
+    ],
+    "tail": ["degree 3: generator 2 moves the image of degree 1"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(BROKEN_ONCE_VIOLATIONS))
+def test_validate_violations_of_modules_broken_once_are_pinned(family):
+    report = validate(_broken_once(family))
+    assert not report.valid
+    assert report.violations == BROKEN_ONCE_VIOLATIONS[family]

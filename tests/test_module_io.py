@@ -2,14 +2,24 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ficalc
 from ficalc.cli import main
+from ficalc.exactla import SparseMatrix
 from ficalc.fimod import (
+    FIModule,
     ModuleFormatError,
+    dumps_module,
     free_module,
     load_module,
     module_from_json,
@@ -117,6 +127,14 @@ def test_rejects_fraction_not_in_lowest_terms(doc):
 
 def test_rejects_zero_denominator(doc):
     _rejects(doc, lambda d: d["transpositions"]["3"][0]["entries"].__setitem__(0, "1/0"))
+
+
+@pytest.mark.parametrize(
+    "text", ["1/3\n", "\u0661/3", "1/\u0663", "01/3", "1/03", "-01/3", " 1/3", "+1/3"]
+)
+def test_rejects_fraction_not_written_canonically(doc, text):
+    # Each would otherwise load as 1/3 and save back as "1/3".
+    _rejects(doc, lambda d: d["transpositions"]["3"][0]["entries"].__setitem__(0, text))
 
 
 def test_rejects_boolean_entry(doc):
@@ -246,3 +264,70 @@ def test_integer_entries_load_as_int(module, tmp_path):
     for built, read in pairs:
         assert read.columns == built.columns
         assert all(type(x) is int for column in read.columns for x in column.values())
+
+
+_nonzero_entries = (
+    st.integers(-(10**20), 10**20).filter(bool)
+    | st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool)
+)
+
+
+def _draw_matrix(data, rows, cols):
+    """A rows x cols matrix: all zero, fully dense, nonzero at the first and
+    last index only, or a random mix with mostly zeros."""
+    n = rows * cols
+    kind = data.draw(st.sampled_from(["zero", "dense", "ends", "mixed"]))
+    if kind == "zero":
+        dense = [0] * n
+    elif kind == "dense":
+        dense = data.draw(st.lists(_nonzero_entries, min_size=n, max_size=n))
+    elif kind == "ends":
+        dense = [0] * n
+        for idx in {0, n - 1} if n else ():
+            dense[idx] = data.draw(_nonzero_entries)
+    else:
+        entry = st.just(0) | st.just(0) | st.just(0) | _nonzero_entries
+        dense = data.draw(st.lists(entry, min_size=n, max_size=n))
+    columns = [{r: dense[r * cols + c] for r in range(rows)} for c in range(cols)]
+    return SparseMatrix(rows, cols, columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dumps_module_is_the_indented_sorted_dump(data):
+    # Dimensions 0 next to positive ones give 0 x k and k x 0 inclusions; the
+    # matrices need not form a valid module for the layout to be checked.
+    max_degree = data.draw(st.integers(0, 4))
+    dims = data.draw(st.lists(st.integers(0, 4), min_size=max_degree + 1, max_size=max_degree + 1))
+    transpositions = [
+        [_draw_matrix(data, d, d) for _ in range(max(k - 1, 0))] for k, d in enumerate(dims)
+    ]
+    inclusions = [_draw_matrix(data, dims[k + 1], dims[k]) for k in range(max_degree)]
+    name = data.draw(st.text(max_size=6))
+    bound = data.draw(st.integers(0, max_degree))
+    module = FIModule(name, max_degree, bound, dims, transpositions, inclusions)
+    text = dumps_module(module)
+    assert text == json.dumps(module_to_json(module), indent=2, sort_keys=True) + "\n"
+    assert dumps_module(module_from_json(json.loads(text))) == text
+
+
+def test_module_files_do_not_use_the_locale_encoding(tmp_path):
+    # With EncodingWarning an error, any read or write that falls back on the
+    # locale encoding fails the command.
+    env = {**os.environ, "PYTHONPATH": str(Path(ficalc.__file__).parents[1])}
+    python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    path = tmp_path / "mod.json"
+    again = tmp_path / "again.json"
+    script = (
+        "import sys; from ficalc.fimod import load_module, save_module; "
+        "save_module(load_module(sys.argv[1]), sys.argv[2])"
+    )
+    cli = ["-m", "ficalc.cli"]
+    for argv in (
+        cli + ["free", "--lambda", "2,1", "--max-degree", "4", "--output", str(path)],
+        cli + ["validate", str(path)],
+        ["-c", script, str(path), str(again)],
+    ):
+        done = subprocess.run(python + argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert again.read_bytes() == path.read_bytes()
