@@ -26,7 +26,6 @@ from .fimod import (
     InstabilityError,
     ModuleFormatError,
     NotStabilizedError,
-    WindowError,
     coefficient_profile,
     delta_coefficient_shift_check,
     dictionary_prediction,
@@ -53,7 +52,6 @@ from .nervehom import (
 )
 from .symrep import (
     NotACharacterError,
-    StableRangeError,
     gn_character,
     gn_dimension,
     inner_product,
@@ -803,31 +801,19 @@ _DOMAIN_ERRORS = (
     TheoremViolationError,
     CrossCheckError,
 )
-_RANGE_ERRORS = (StableRangeError, WindowError)
 
 
 def main(argv=None) -> int:
+    """Run one command.  A domain error (a malformed module, a failed check)
+    exits 1; a usage, range, file or other value error exits 2."""
     args = build_parser().parse_args(argv)
-    command = args.command
     try:
         doc, heading, tables, code = args.handler(args)
         _emit(args, _render(args.format, doc, heading, tables))
         return code
-    except UsageError as exc:
-        print(f"fi-calc {command}: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"fi-calc {command}: {exc}", file=sys.stderr)
-        return 1
-    except _RANGE_ERRORS as exc:
-        print(f"fi-calc {command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"fi-calc {command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"fi-calc {command}: {exc}", file=sys.stderr)
-        return 2
+    except (*_DOMAIN_ERRORS, OSError, ValueError) as exc:
+        print(f"fi-calc {args.command}: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, _DOMAIN_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -608,11 +608,10 @@ class ChainComplex:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Per-degree Betti numbers, torsion invariant factors, optional cycle reps."""
+    """Per-degree Betti numbers and torsion invariant factors."""
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    representatives: tuple[SparseMatrix, ...] | None = None
 
 
 def _betti(dims: tuple[int, ...], ranks: list[int]) -> tuple[int, ...]:
@@ -696,37 +695,31 @@ def _coreduce(c: ChainComplex) -> ChainComplex:
     return ChainComplex(tuple(map(len, live)), tuple(differentials))
 
 
-def homology(c: ChainComplex, integral: bool = False, representatives: bool = False) -> HomologyResult:
+def homology(c: ChainComplex, integral: bool = False) -> HomologyResult:
     """Homology of a validated chain complex.
 
-    Rational mode reads the Betti numbers off the rank of each differential,
-    or, when representative cycles are asked for, off the cycles that
-    ``RationalComplexHomology`` picks.  Integral mode first coreduces the
-    complex (``_coreduce``), then reads the ranks and the invariant factors
-    > 1 of each incoming differential (the torsion of that degree) off the
-    Smith normal form of the residue's differentials.
+    Rational mode reads the Betti numbers off the rank of each differential;
+    ``RationalComplexHomology`` gives cycle representatives and coordinates.
+    Integral mode first coreduces the complex (``_coreduce``), then reads the
+    ranks and the invariant factors > 1 of each incoming differential (the
+    torsion of that degree) off the Smith normal form of the residue's
+    differentials.
     """
     c.validate()
     n = len(c.dims)
     torsions: list[tuple[int, ...]] = [() for _ in range(n)]
-    reps = None
     if integral:
         residue = _coreduce(c)
         factors = [invariant_factors(d.to_matrix()) for d in residue.differentials]
         torsions[: len(factors)] = [tuple(f for f in facs if f > 1) for facs in factors]
         betti = _betti(residue.dims, [len(facs) for facs in factors])
-    elif representatives:
-        solver = RationalComplexHomology(c)
-        betti = solver.dims()
-        reps = tuple(solver.representatives(i) for i in range(n))
     else:
         betti = _betti(c.dims, [rank(d) for d in c.differentials])
-    result = HomologyResult(betti, tuple(torsions), reps)
+    result = HomologyResult(betti, tuple(torsions))
     # Euler characteristic invariant: alternating sums agree.  An identity for
     # rational Betti numbers read off ranks; in integral mode the Betti
     # numbers come from the residue's dims, so this checks that coreduction
-    # deleted cells only in pairs of adjacent degrees; with representatives,
-    # a check on their count
+    # deleted cells only in pairs of adjacent degrees
     lhs = sum((-1) ** i * c.dims[i] for i in range(n))
     rhs = sum((-1) ** i * result.betti[i] for i in range(n))
     if lhs != rhs:
@@ -773,15 +766,11 @@ class RationalComplexHomology:
         reps = self.rep_vectors[degree]
         return SparseMatrix(self.complex.dims[degree], len(reps), reps)
 
-    def express(self, degree: int, vec: Sequence[Fraction] | SparseVec) -> SparseVec:
-        """Coordinates ``{j: coefficient}`` of a cycle (dense, or sparse as a
-        dict) in the homology basis of the given degree."""
+    def express(self, degree: int, vec: SparseVec) -> SparseVec:
+        """Coordinates ``{j: coefficient}`` of a sparse cycle ``{i: x}`` in the
+        homology basis of the given degree."""
         d = self.complex.dims[degree]
-        if not isinstance(vec, dict):
-            if len(vec) != d:
-                raise ShapeMismatchError(f"expected a vector of length {d}, got {len(vec)}")
-            vec = {i: x for i, x in enumerate(vec) if x}
-        elif vec and (min(vec) < 0 or max(vec) >= d):
+        if vec and (min(vec) < 0 or max(vec) >= d):
             raise ShapeMismatchError(f"sparse vector has a coordinate outside 0..{d - 1}")
         rem = self._reducers[degree].reduce(vec)
         if rem and min(rem) < d:

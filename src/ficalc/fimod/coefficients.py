@@ -23,7 +23,12 @@ orbits that close with an inconsistent factor (signs).
 Stabilization: stages are scanned from k = generation bound upward; a
 coefficient is declared stable when two consecutive stages have equal
 homology dimensions in every degree and the standard inclusion induces an
-isomorphism on degree-0 homology.  The later stage is the witness.
+isomorphism on degree-0 homology.  The later stage is the witness, and
+the scan (``_stable_stage``) returns it as a ``CubeStage``; a coefficient's
+dims and characters are then read off that one stage (``_coefficient``).
+``delta_coefficient_shift_check`` reads both of its characters, the shifted
+one and the full one, off the single witness stage of the (n+i)-cube.
+A stage outside the window is refused by ``CubeStage`` itself.
 """
 
 from __future__ import annotations
@@ -287,20 +292,6 @@ def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> SparseMatr
     return SparseMatrix(tgt.homology.dims()[0], len(columns), columns)
 
 
-def _homology_basis_map(stage: CubeStage, nxt: CubeStage) -> SparseMatrix:
-    """Degree-0 homology matrix of the standard-inclusion transition."""
-    return _homology_map(stage.transition_to(nxt), stage, nxt)
-
-
-def _transition_is_iso(stage: CubeStage, nxt: CubeStage) -> bool:
-    h = stage.homology.dims()[0]
-    if nxt.homology.dims()[0] != h:
-        return False
-    if h == 0:
-        return True
-    return rank(_homology_basis_map(stage, nxt)) == h
-
-
 @dataclass(frozen=True)
 class GradedCoefficient:
     """Stable coinvariant homology of a cross-effect cube.
@@ -316,9 +307,6 @@ class GradedCoefficient:
     characters: tuple[ClassFunction, ...]
     witness: int
 
-    def dimension(self, degree: int) -> int:
-        return self.dims[degree]
-
 
 def _embedded_perm(cycle_type, action_start: int, action_size: int, cube: int):
     base = permutation_from_word(conjugacy_class_word(cycle_type), action_size)
@@ -327,38 +315,22 @@ def _embedded_perm(cycle_type, action_start: int, action_size: int, cube: int):
     )
 
 
-def _stage_coefficient(
-    module: FIModule, cube: int, action_start: int, action_size: int
-) -> GradedCoefficient:
-    trajectory = []
-    k = module.generation_bound
-    if cube + k > module.max_degree:
-        raise WindowError(
-            f"cannot form the {cube}-cube at stage {k} inside window {module.max_degree}"
-        )
-    stage = CubeStage(module, cube, k)
-    while cube + k + 1 <= module.max_degree:
-        nxt = CubeStage(module, cube, k + 1)
-        if stage.homology.dims() == nxt.homology.dims() and _transition_is_iso(stage, nxt):
-            classes = partitions_of(action_size)
-            characters = []
-            for degree in range(cube + 1):
-                values = []
-                for ct in classes:
-                    perm = _embedded_perm(ct, action_start, action_size, cube)
-                    values.append(nxt.homology_trace(perm, degree))
-                characters.append(ClassFunction(action_size, tuple(values)))
-            return GradedCoefficient(
-                cube=cube,
-                action_size=action_size,
-                dims=nxt.homology.dims(),
-                characters=tuple(characters),
-                witness=k + 1,
-            )
-        trajectory.append({"stage": k, "dims": stage.homology.dims()})
+def _stable_stage(module: FIModule, cube: int) -> CubeStage:
+    """The witness stage of the cube: stages are scanned from the generation
+    bound up, and the later of the first two consecutive stages that
+    stabilize is returned.  Raises ``NotStabilizedError`` with the homology
+    dims of every stage built when the window runs out first."""
+    stage = CubeStage(module, cube, module.generation_bound)
+    trajectory = [{"stage": stage.k, "dims": stage.homology.dims()}]
+    while cube + stage.k < module.max_degree:
+        nxt = CubeStage(module, cube, stage.k + 1)
+        dims = nxt.homology.dims()
+        if stage.homology.dims() == dims and (
+            not dims[0] or rank(_homology_map(stage.transition_to(nxt), stage, nxt)) == dims[0]
+        ):
+            return nxt
+        trajectory.append({"stage": nxt.k, "dims": dims})
         stage = nxt
-        k += 1
-    trajectory.append({"stage": k, "dims": stage.homology.dims()})
     raise NotStabilizedError(
         f"coefficient of the {cube}-cube did not stabilize inside the window; "
         f"trajectory {trajectory}",
@@ -366,18 +338,32 @@ def _stage_coefficient(
     )
 
 
+def _coefficient(stage: CubeStage, action_start: int, action_size: int) -> GradedCoefficient:
+    """The coefficient read off a witness stage, with the characters of the
+    symmetric group on the cube coordinates from ``action_start`` on."""
+    perms = [
+        _embedded_perm(ct, action_start, action_size, stage.cube)
+        for ct in partitions_of(action_size)
+    ]
+    characters = tuple(
+        ClassFunction(action_size, tuple(stage.homology_trace(p, degree) for p in perms))
+        for degree in range(stage.cube + 1)
+    )
+    return GradedCoefficient(stage.cube, action_size, stage.homology.dims(), characters, stage.k)
+
+
 def taylor_coefficient(module: FIModule, n: int) -> GradedCoefficient:
     """The n-th coefficient: stable coinvariant cube homology with its
     symmetric-group character in every homological degree."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
-    return _stage_coefficient(module, n, 0, n)
+    return _coefficient(_stable_stage(module, n), 0, n)
 
 
 def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
     """The i-th coefficient of the n-fold difference, acting on the last
     i cube coordinates only."""
-    return _stage_coefficient(module, n + i, n, i)
+    return _coefficient(_stable_stage(module, n + i), n, i)
 
 
 @dataclass(frozen=True)
@@ -390,9 +376,11 @@ class ShiftCheckResult:
 
 def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftCheckResult:
     """Compare the i-th coefficient of the n-fold difference against the
-    (n+i)-th coefficient with its character restricted to the i-block."""
-    lhs = shifted_coefficient(module, n, i)
-    full = taylor_coefficient(module, n + i)
+    (n+i)-th coefficient with its character restricted to the i-block; both
+    are read off one witness stage of the (n+i)-cube."""
+    stage = _stable_stage(module, n + i)
+    lhs = _coefficient(stage, n, i)
+    full = _coefficient(stage, 0, n + i)
     classes = partitions_of(i)
     rhs_chars = []
     for degree in range(n + i + 1):
@@ -444,7 +432,7 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int):
     """Homology-basis matrix of the extension-sum map at one stage, with the
     boundary-preservation check."""
     src, tgt, t = _sum_over_extensions(module, f, k)
-    for col in _boundary_columns(src):
+    for col in src.complex.differentials[0].columns if src.cube else ():
         if tgt.homology.express(0, t.apply(col)):
             raise InstabilityError(
                 "extension-sum map does not carry boundaries to boundaries"
@@ -462,27 +450,17 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatr
     under the stabilization transition maps.  Either failure raises
     InstabilityError.
     """
-    if f.target_size + k > module.max_degree:
-        raise WindowError(
-            f"transition at stage {k} needs degree {f.target_size + k} > window"
-        )
     src, tgt, mat = _transition_at_stage(module, f, k)
     if f.target_size + k + 1 <= module.max_degree:
         src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
-        s_src = _homology_basis_map(src, src_next)
-        s_tgt = _homology_basis_map(tgt, tgt_next)
+        s_src = _homology_map(src.transition_to(src_next), src, src_next)
+        s_tgt = _homology_map(tgt.transition_to(tgt_next), tgt, tgt_next)
         if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
             raise InstabilityError(
                 "transition matrices at consecutive stages disagree under the "
                 "stabilization maps (stage too small)"
             )
     return mat
-
-
-def _boundary_columns(stage: CubeStage):
-    if stage.cube == 0:
-        return []
-    return stage.complex.differentials[0].columns
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +491,6 @@ def coefficient_profile(module: FIModule, max_index: int | None = None) -> Coeff
     transitions = []
     for n in range(max_index):
         k = max(coefficients[n].witness, coefficients[n + 1].witness)
-        if n + 1 + k > module.max_degree:
-            raise WindowError(
-                f"transition {n}->{n+1} at stage {k} exceeds window {module.max_degree}"
-            )
         inc = standard_inclusion(n, n + 1)
         transitions.append(coefficient_transition(module, inc, k))
     return CoefficientProfile(module.name, coefficients, tuple(transitions))

@@ -169,7 +169,10 @@ def _entry_in(value, where: str) -> int | Fraction:
         match = _FRACTION_RE.fullmatch(value)
         if not match:
             raise ModuleFormatError(f"{where}: malformed entry {value!r}")
-        p, q = int(match.group(1)), int(match.group(2))
+        try:
+            p, q = int(match.group(1)), int(match.group(2))
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise ModuleFormatError(f"{where}: entry has too many digits ({exc})") from exc
         if q == 0:
             raise ModuleFormatError(f"{where}: zero denominator in {value!r}")
         if q == 1:
@@ -277,11 +280,14 @@ def load_module(path) -> FIModule:
     Missing files surface as the usual ``OSError``; malformed content raises
     :class:`ModuleFormatError`.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModuleFormatError(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModuleFormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # past the interpreter's integer digit limit
+        raise ModuleFormatError(f"integer too long to read: {exc}") from exc
     except RecursionError as exc:
         raise ModuleFormatError("not valid JSON: nested too deeply to parse") from exc
     return module_from_json(doc)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from ficalc import cli, symrep
 from ficalc.cli import full_report, main
 from ficalc.combinat import build_poset
+from ficalc.fimod import WindowError
 from ficalc.nervehom import complex_homology, connectivity_check, order_complex
-from ficalc.symrep import gn_dimension, kostka
+from ficalc.symrep import StableRangeError, gn_dimension, kostka
 
 
 def run(capsys, *argv):
@@ -256,6 +257,29 @@ def test_coefficients_command(tmp_path, capsys):
     assert doc["transition_ranks"] == [1, 2]
 
 
+# sha256 of the stdout of the coefficient commands on two saved modules; the
+# coefficient scan, the characters and the transitions all feed these bytes
+COEFFICIENT_DIGESTS = {
+    ("free", "coefficients"): "9a5d395c8ccb41df640109ef39fd20adba9793f6f8e0532b6126d73568a3c792",
+    ("free", "predict"): "f165142bcd986f11bb974fa825a25e751cadc3bf39bed89d15ee841da0b11acb",
+    ("representable", "coefficients"): "c95d0a527e0487ee3baf9d2d750a04dab12011ea8d4674eec4809130788faf1c",
+    ("representable", "predict"): "f6600b8a79c1b361e859ae81e44b38a526d5220965fd9adae6e22f3b1e65ec39",
+}
+COEFFICIENT_MODULES = {
+    "free": ["free", "--lambda", "2,2", "--max-degree", "9"],
+    "representable": ["representable", "--n", "2", "--max-degree", "8"],
+}
+
+
+@pytest.mark.parametrize("module,command", sorted(COEFFICIENT_DIGESTS))
+def test_coefficient_command_bytes_are_pinned(tmp_path, capsys, module, command):
+    path = make_module_file(tmp_path, capsys, *COEFFICIENT_MODULES[module])
+    extra = ["--k", "9"] if command == "predict" else []
+    code, out = run(capsys, command, str(path), *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COEFFICIENT_DIGESTS[module, command]
+
+
 def test_report_passes_at_desk_scale(capsys):
     code, out = run(capsys, "report", "--n-max", "1", "--k-max", "3", "--format", "json")
     assert code == 0
@@ -350,6 +374,68 @@ def test_negative_max_index_is_a_usage_error(tmp_path, capsys, command):
     )
     assert main([command[0], str(path), *command[1:]]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (cli.UsageError("bad flag"), 2),
+        (cli.ModuleFormatError("bad file"), 1),
+        (cli.NotACharacterError("not a character"), 1),
+        (cli.NotStabilizedError("no two stages agree", []), 1),
+        (cli.InstabilityError("boundaries escape"), 1),
+        (cli.DictionaryInapplicableError("not free"), 1),
+        (cli.TheoremViolationError("wrong rank"), 1),
+        (cli.CrossCheckError("routes disagree"), 1),
+        (StableRangeError("below the stable range"), 2),
+        (WindowError("outside the window"), 2),
+        (FileNotFoundError(2, "No such file or directory"), 2),
+        (ValueError("some other value"), 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_each_error_class_has_its_exit_code_and_one_line(capsys, monkeypatch, error, code):
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_gn", handler)
+    assert main(["gn", "--n", "2", "--k", "5"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fi-calc gn: {error}\n"
+
+
+def test_module_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fi-calc validate: not UTF-8: ") and err.count("\n") == 1
+
+
+def _module_doc_with_entry(tmp_path, capsys, entry: str) -> Path:
+    """A saved representable(1, 3) whose first inclusion entry is ``entry``,
+    written as raw JSON text."""
+    path = make_module_file(tmp_path, capsys, "representable", "--n", "1", "--max-degree", "3")
+    doc = json.loads(path.read_text())
+    doc["inclusions"][1]["entries"][0] = "ENTRY"
+    path.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+    return path
+
+
+def test_module_file_with_an_overlong_integer_is_a_format_error(tmp_path, capsys):
+    path = _module_doc_with_entry(tmp_path, capsys, "7" * 5000)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fi-calc validate: integer too long to read: ") and err.count("\n") == 1
+
+
+def test_module_file_with_an_overlong_fraction_is_a_format_error(tmp_path, capsys):
+    path = _module_doc_with_entry(tmp_path, capsys, '"%s/2"' % ("7" * 5000))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fi-calc validate: inclusions[1].entries[0]: ")
+    assert "too many digits" in err and err.count("\n") == 1
 
 
 json_values = st.recursive(

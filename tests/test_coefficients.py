@@ -30,9 +30,11 @@ from ficalc.fimod import (
     delta_complex,
     free_module,
     representable,
+    shifted_coefficient,
     taylor_coefficient,
     zero_module,
 )
+from ficalc.fimod import coefficients
 from ficalc.fimod.coefficients import CoinvariantQuotient
 from ficalc.symrep import decompose_class_function, partitions_of
 
@@ -315,6 +317,31 @@ def test_shift_check_agrees_for_small_modules():
         assert result.lhs.dims == result.rhs_dims
         for d in range(n + i + 1):
             assert result.lhs.characters[d].values == result.rhs_characters[d].values
+
+
+def test_shift_check_builds_each_stage_once(monkeypatch):
+    builds = []
+
+    class CountedStage(CubeStage):
+        def __init__(self, module, cube, k):
+            builds.append((cube, k))
+            super().__init__(module, cube, k)
+
+    monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
+    assert delta_coefficient_shift_check(representable(2, 8), 1, 1).equal
+    assert builds and len(builds) == len(set(builds))
+
+
+def test_shift_check_reads_what_the_separate_coefficients_read():
+    module = representable(2, 8)
+    result = delta_coefficient_shift_check(module, 1, 1)
+    assert result.lhs == shifted_coefficient(representable(2, 8), 1, 1)
+    assert result.rhs_dims == taylor_coefficient(representable(2, 8), 2).dims
+
+
+def test_shifted_coefficient_beyond_the_window():
+    with pytest.raises(WindowError):
+        shifted_coefficient(representable(2, 3), 2, 1)
 
 
 def test_dense_cube_complex_shape_and_homology():

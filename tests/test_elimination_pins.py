@@ -20,7 +20,6 @@ from ficalc.exactla import (
     RationalComplexHomology,
     SparseMatrix,
     cokernel,
-    homology,
     invariant_factors,
     kernel_basis,
     smith_normal_form,
@@ -129,10 +128,9 @@ def _two_loops() -> ChainComplex:
 
 
 def test_pinned_homology_representatives_and_coordinates():
-    c = _two_loops()
-    res = homology(c, representatives=True)
-    assert res.betti == (1, 2, 0)
-    assert [_rows(m) for m in res.representatives] == [
+    solver = RationalComplexHomology(_two_loops())
+    assert solver.dims() == (1, 2, 0)
+    assert [_rows(solver.representatives(i)) for i in range(3)] == [
         (5, 1, [["1"], ["0"], ["0"], ["0"], ["0"]]),
         (
             7,
@@ -141,9 +139,8 @@ def test_pinned_homology_representatives_and_coordinates():
         ),
         (1, 0, [[]]),
     ]
-    solver = RationalComplexHomology(c)
     cycle = [F(3, 2), -1, F(3, 2), -2, 1, F(1, 2), 2]
-    assert solver.express(1, cycle) == {0: 1, 1: 2}
+    assert solver.express(1, dict(enumerate(cycle))) == {0: 1, 1: 2}
 
 
 SNF_PINNED = [
