@@ -4,8 +4,8 @@ Everything here is exact: entries are python ints or ``fractions.Fraction``,
 never floats.  ``SparseMatrix`` (one dict per column) is the one matrix type
 of rational work: chain complex differentials, kernels, cokernels, colimit
 structure maps, Specht matrices and the matrices of module maps all take and
-return it.  The dense ``Matrix`` is only the small value type of Smith normal
-form: its input and unimodular transforms.
+return it.  The dense ``Matrix`` is only the small value type of the public
+Smith normal form functions: their input and unimodular transforms.
 
 All rational elimination runs on one engine, ``VectorReducer``, whose rows
 are the reduced row echelon form of their span: ``rank``, ``kernel_basis``,
@@ -16,9 +16,9 @@ pivots are all ±1 is eliminated in ``int`` arithmetic.
 Integral homology first coreduces the complex (``_coreduce``): pairs of
 cells joined by a ±1 boundary entry are deleted across all degrees, with no
 arithmetic, and only the residue's differentials reach Smith normal form
-(``_SnfWorker``, the one integer elimination).  It keeps the matrix both by
-rows and by columns, so each elementary operation is written once: a column
-operation is the row operation on the mirrored copy.
+(``_SnfWorker``, the one integer elimination, which reads them sparse).  It
+keeps the matrix both by rows and by columns, so each elementary operation is
+written once: a column operation is the row operation on the mirrored copy.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.data[i]
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.data for x in r)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -422,19 +419,20 @@ class _SnfWorker:
     ``swap`` take the side they act on, and ``_set`` writes an entry and its
     mirror.  Pivots are chosen with smallest absolute value first, then
     smallest Markowitz fill, then position, which keeps both fill-in and
-    coefficient growth tame on incidence-like inputs.  When ``accumulate`` is
-    set, the unimodular transforms are tracked densely (fine at desk scale),
-    one per side: ``U`` for rows and the transpose of ``V`` for columns.
+    coefficient growth tame on incidence-like inputs.  Nonzeros load column
+    by column, ascending, so each line's keys ascend as in a row-major scan.
+    When ``accumulate`` is set, the unimodular transforms are tracked densely
+    (fine at desk scale), one per side: ``U`` for rows and the transpose of
+    ``V`` for columns.
     """
 
-    def __init__(self, a: Matrix, accumulate: bool):
-        if not a.is_integral():
-            raise ValueError("Smith normal form requires an integer matrix")
-        self.lines = tuple([{} for _ in range(n)] for n in (a.rows, a.cols))
-        for i, r in enumerate(a.data):
-            for j, x in enumerate(r):
-                if x:
-                    self._set(0, i, j, int(x))
+    def __init__(self, a: SparseMatrix, accumulate: bool):
+        rows, cols = self.lines = tuple([{} for _ in range(n)] for n in (a.rows, a.cols))
+        for j, col in enumerate(a.columns):
+            for i, x in sorted(col.items()):
+                if x.denominator != 1:
+                    raise ValueError("Smith normal form requires an integer matrix")
+                rows[i][j] = cols[j][i] = int(x)
         self.transforms = None
         if accumulate:
             self.transforms = tuple(
@@ -556,7 +554,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     (cols x cols) with ``U @ a @ V == D`` and the diagonal entries
     non-negative with each dividing the next.
     """
-    w = _SnfWorker(a, accumulate=True)
+    w = _SnfWorker(SparseMatrix.from_matrix(a), accumulate=True)
     diag = w.run()
     d = [[0] * a.cols for _ in range(a.rows)]
     for i, x in enumerate(diag):
@@ -571,7 +569,7 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
 def invariant_factors(a: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith normal form (no transform tracking)."""
-    return _SnfWorker(a, accumulate=False).run()
+    return _SnfWorker(SparseMatrix.from_matrix(a), accumulate=False).run()
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +700,15 @@ def homology(c: ChainComplex, integral: bool = False) -> HomologyResult:
     ``RationalComplexHomology`` gives cycle representatives and coordinates.
     Integral mode first coreduces the complex (``_coreduce``), then reads the
     ranks and the invariant factors > 1 of each incoming differential (the
-    torsion of that degree) off the Smith normal form of the residue's
-    differentials.
+    torsion of that degree) off the Smith normal form of the residue's sparse
+    differentials, which ``_SnfWorker`` takes as they are.
     """
     c.validate()
     n = len(c.dims)
     torsions: list[tuple[int, ...]] = [() for _ in range(n)]
     if integral:
         residue = _coreduce(c)
-        factors = [invariant_factors(d.to_matrix()) for d in residue.differentials]
+        factors = [_SnfWorker(d, accumulate=False).run() for d in residue.differentials]
         torsions[: len(factors)] = [tuple(f for f in facs if f > 1) for facs in factors]
         betti = _betti(residue.dims, [len(facs) for facs in factors])
     else:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
-from .combinat import Matching, PartialBijectionPoset, build_poset
+from .combinat import PartialBijectionPoset, build_poset
 from .exactla import ChainComplex, HomologyResult, SparseMatrix, homology
 from .symrep import gn_dimension
 
@@ -116,13 +117,14 @@ def nerve_sizes(n: int, k: int) -> tuple[int, ...]:
 def chessboard_complex(n: int, k: int) -> OrderComplex:
     """The chessboard complex M_{n,k}: its faces are the elements of P(n,k).
 
-    Batch j holds the matchings with j+1 pairs from ``build_poset(n, k)``,
-    sorted; each matching is already sorted by (source, target).
+    Batch j-1 holds, sorted, the matchings of j sources (increasing) with j
+    distinct targets, listed directly (no poset), each sorted by (source, target).
     """
-    batches: list[list[Matching]] = [[] for _ in range(min(n, k))]
-    for matching in build_poset(n, k).elements:
-        batches[len(matching) - 1].append(matching)
-    return OrderComplex(n * k, tuple(tuple(sorted(batch)) for batch in batches))
+    def faces(j: int) -> tuple:
+        pairs = (zip(s, t) for s in combinations(range(n), j) for t in permutations(range(k), j))
+        return tuple(sorted(map(tuple, pairs)))
+
+    return OrderComplex(n * k, tuple(faces(j) for j in range(1, min(n, k) + 1)))
 
 
 def _boundary(complex: OrderComplex, dim: int) -> SparseMatrix:
@@ -217,7 +219,7 @@ def certify_homology(n: int, k: int, result: HomologyResult) -> WedgeCertificate
 
 
 def connectivity_check(n: int, k: int) -> bool:
-    """Whether the nerve of P(n,k) is connected (union-find over covers)."""
+    """Whether the nerve of P(n,k) is connected (union-find over covers, not H_0)."""
     if n < 1 or k < 1:
         raise ValueError("connectivity_check needs n >= 1 and k >= 1")
     poset = build_poset(n, k)

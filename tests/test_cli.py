@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficalc import cli, symrep
+from ficalc import cli, nervehom, symrep
 from ficalc.cli import full_report, main
 from ficalc.combinat import build_poset
 from ficalc.fimod import WindowError
@@ -205,6 +205,24 @@ def test_homology_never_builds_the_nerve_but_the_report_does(capsys, monkeypatch
     cells = {c["cell"]: c for section in doc["sections"] for c in section["cells"]}
     assert not passed
     assert cells["poset symmetry"]["detail"] == "RuntimeError: nerve built"
+
+
+def test_homology_reads_connectivity_off_reduced_h0(capsys, monkeypatch):
+    # union-find over the poset's covers stays the independent oracle; the
+    # command itself builds no poset
+    expected = {(n, k): connectivity_check(n, k) for n in range(1, 4) for k in range(1, 7)}
+    assert [k for k in range(1, 7) if not expected[1, k]] == [2, 3, 4, 5, 6]
+
+    def boom(*args):
+        raise RuntimeError("poset built")
+
+    monkeypatch.setattr(cli, "connectivity_check", boom, raising=False)
+    for module in (cli, nervehom):
+        monkeypatch.setattr(module, "build_poset", boom)
+    for (n, k), connected in expected.items():
+        code, out = run(capsys, "homology", "--n", str(n), "--k", str(k))
+        assert code == 0
+        assert json.loads(out)["connected"] is connected, (n, k)
 
 
 def test_decompose_and_predict_agree(tmp_path, capsys):

@@ -54,8 +54,6 @@ def test_matrix_basics():
     a = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
     assert a.entry(1, 2) == 6
     assert a.row(0) == (Fraction(1), Fraction(2), Fraction(3))
-    assert a.is_integral()
-    assert not Matrix(1, 1, [Fraction(1, 2)]).is_integral()
     with pytest.raises(ShapeMismatchError):
         Matrix(2, 2, [1, 2, 3])
     with pytest.raises(ShapeMismatchError):

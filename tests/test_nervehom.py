@@ -1,10 +1,16 @@
 """Tests for order complexes of matching posets and the wedge certificates."""
 
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ficalc import nervehom
 from ficalc.combinat import build_poset
-from ficalc.exactla import HomologyResult, _coreduce, invariant_factors
+from ficalc.exactla import HomologyResult, Matrix, SparseMatrix, _coreduce, invariant_factors
 from ficalc.nervehom import (
+    OrderComplex,
     TheoremViolationError,
     _augmented_chains,
     _boundary,
@@ -184,6 +190,25 @@ def test_chessboard_complex_faces_are_the_poset_elements():
             assert list(matching) == sorted(set(matching))
 
 
+def test_chessboard_complex_lists_the_poset_elements_without_the_poset(monkeypatch):
+    scales = [(n, k) for n in range(1, 5) for k in range(1, 7)] + [(0, 4)]
+    expected = {}
+    for n, k in scales:
+        elements = build_poset(n, k).elements
+        expected[n, k] = tuple(
+            tuple(sorted(m for m in elements if len(m) == j)) for j in range(1, min(n, k) + 1)
+        )
+
+    def boom(n, k):
+        raise RuntimeError("poset built")
+
+    monkeypatch.setattr(nervehom, "build_poset", boom)
+    for n, k in scales:
+        complex = chessboard_complex(n, k)
+        assert complex.vertex_count == n * k
+        assert complex.simplices == expected[n, k], (n, k)
+
+
 def test_chessboard_complex_sizes():
     assert tuple(map(len, chessboard_complex(3, 7).simplices)) == (21, 126, 210)
     assert tuple(map(len, chessboard_complex(4, 7).simplices)) == (28, 252, 840, 840)
@@ -208,6 +233,22 @@ def test_chessboard_torsion_below_the_range():
     assert result.torsion == ((), (), (3,), (), ())
     with pytest.raises(ValueError):
         wedge_certificate(5, 5)
+
+
+def test_integral_homology_builds_no_dense_matrix(monkeypatch):
+    # the residues of M_{5,5} and M_{4,5} keep a boundary, which reaches
+    # Smith normal form as the sparse matrix it is
+    expected = plain_reduced_homology(chessboard_complex(4, 5))
+
+    def dense(*args):
+        raise RuntimeError("dense matrix built")
+
+    monkeypatch.setattr(SparseMatrix, "to_matrix", dense)
+    monkeypatch.setattr(Matrix, "__init__", dense)
+    result = complex_homology(chessboard_complex(5, 5))
+    assert result.betti == (0, 0, 0, 56, 0)
+    assert result.torsion == ((), (), (3,), (), ())
+    assert complex_homology(chessboard_complex(4, 5)) == expected
 
 
 def test_wedge_certificate_reaches_four_into_seven():
@@ -267,3 +308,38 @@ def coreduction_mismatches(n_max, k_max, nerve_max):
 
 def test_coreduced_homology_matches_plain_smith_normal_form():
     assert coreduction_mismatches(3, 6, 3) == []
+
+
+def augmented_snf_homology(complex):
+    """Reduced integral homology from the Smith normal form of every full,
+    unreduced differential of the augmented complex, degree -1 dropped."""
+    chains = _augmented_chains(complex)
+    factors = [invariant_factors(d.to_matrix()) for d in chains.differentials]
+    ranks = [0, *map(len, factors), 0]
+    betti = [dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(chains.dims)]
+    torsion = [tuple(f for f in facs if f > 1) for facs in factors] + [()]
+    return HomologyResult(tuple(betti[1:]), tuple(torsion[1:]))
+
+
+@st.composite
+def facet_closures(draw):
+    """Closures under faces of one to six random facets on at most seven vertices."""
+    vertices = draw(st.integers(1, 7))
+    facets = draw(
+        st.lists(st.frozensets(st.integers(0, vertices - 1), min_size=1), min_size=1, max_size=6)
+    )
+    faces = {
+        face
+        for facet in facets
+        for size in range(1, len(facet) + 1)
+        for face in combinations(sorted(facet), size)
+    }
+    top = max(map(len, faces))
+    batches = tuple(tuple(sorted(f for f in faces if len(f) == d)) for d in range(1, top + 1))
+    return OrderComplex(len(batches[0]), batches)
+
+
+@given(facet_closures())
+@settings(max_examples=80, deadline=None)
+def test_complex_homology_matches_smith_normal_form_of_the_augmented_complex(complex):
+    assert complex_homology(complex) == augmented_snf_homology(complex)
