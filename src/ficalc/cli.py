@@ -64,6 +64,7 @@ from .symrep import (
 
 GUARD_N = 5
 GUARD_K = 10
+GUARD_ENTRIES = 10**7  # matrix entries in a printed module document
 
 
 class UsageError(ValueError):
@@ -167,6 +168,24 @@ def _guard(args, **named) -> None:
             )
 
 
+def _entry_count(dims) -> int:
+    """Matrix entries of a module document with these dims: k-1 transpositions
+    of size d_k x d_k in degree k and one d_{k+1} x d_k inclusion per step."""
+    squares = sum((k - 1) * d * d for k, d in enumerate(dims) if k > 1)
+    return squares + sum(a * b for a, b in zip(dims, dims[1:]))
+
+
+def _guard_entries(args, dims) -> None:
+    """Reject a module document beyond ``GUARD_ENTRIES`` entries unless
+    overridden; the count comes from the dims alone, before any building."""
+    count = _entry_count(dims)
+    if count > GUARD_ENTRIES and not getattr(args, "allow_large", False):
+        raise UsageError(
+            f"the module document would hold {count} matrix entries, over the "
+            f"default guard {GUARD_ENTRIES}; pass --allow-large to override"
+        )
+
+
 def _decomposition_payload(decomposition):
     ordered = [
         (lam, decomposition.multiplicities[lam])
@@ -221,11 +240,15 @@ def _module_document(args, module):
 
 def _cmd_representable(args):
     _guard(args, n=(args.n, GUARD_N), max_degree=(args.max_degree, GUARD_K))
+    if args.n >= 0:  # ``representable`` itself refuses a negative n
+        _guard_entries(args, [math.perm(k, args.n) for k in range(args.max_degree + 1)])
     return _module_document(args, representable(args.n, args.max_degree))
 
 
 def _cmd_free(args):
     _guard(args, **{"lambda": (sum(args.lam), GUARD_N)}, max_degree=(args.max_degree, GUARD_K))
+    f = specht_dimension(args.lam)
+    _guard_entries(args, [math.comb(k, sum(args.lam)) * f for k in range(args.max_degree + 1)])
     return _module_document(args, free_module(args.lam, args.max_degree))
 
 
@@ -514,10 +537,11 @@ def _check_validity(m, window):
 def _check_orthogonality(top):
     for n in range(0, top + 1):
         parts = partitions_of(n)
-        for a in parts:
-            for b in parts:
+        chars = [irreducible_class_function(lam) for lam in parts]
+        for a, char_a in zip(parts, chars):
+            for b, char_b in zip(parts, chars):
                 expected = Fraction(1 if a == b else 0)
-                got = inner_product(irreducible_class_function(a), irreducible_class_function(b))
+                got = inner_product(char_a, char_b)
                 if got != expected:
                     return False, f"<{a},{b}> = {got}"
     return True, f"orthonormal through n={top}"

@@ -142,9 +142,14 @@ def _dumps(value, pad: str, out: list) -> None:
 
 def dumps_module(module: FIModule) -> str:
     """The module's document as text: ``json.dumps(module_to_json(module),
-    indent=2, sort_keys=True)`` and a newline."""
+    indent=2, sort_keys=True)`` and a newline.  An entry past the
+    interpreter's digit limit raises :class:`ModuleFormatError`, as loading
+    one does."""
     out: list[str] = []
-    _dumps(_document(module, _sparse_out), "\n", out)
+    try:
+        _dumps(_document(module, _sparse_out), "\n", out)
+    except ValueError as exc:  # past the interpreter's integer digit limit
+        raise ModuleFormatError(f"entry too long to write: {exc}") from exc
     out.append("\n")
     return "".join(out)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficalc import cli, nervehom, symrep
+from ficalc import cli, fimod, nervehom, symrep
 from ficalc.cli import full_report, main
 from ficalc.combinat import build_poset
 from ficalc.fimod import WindowError
@@ -109,6 +109,59 @@ def test_parameter_guard_and_override(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["name"] == "free((2,2,2))"
     assert doc["dims"] == [0, 0, 0, 0, 0, 0, 5]
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["representable", "--n", "4", "--max-degree", "9"], 104694336),
+        (["representable", "--n", "4", "--max-degree", "8"], 26457408),
+    ],
+)
+def test_module_commands_refuse_a_document_past_the_entry_guard(capsys, argv, count):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"fi-calc representable: the module document would hold {count} matrix "
+        f"entries, over the default guard {cli.GUARD_ENTRIES}; pass --allow-large to override\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "build,params,count",
+    [
+        ("representable", (4, 7), 5289408),
+        ("representable", (3, 10), 8477568),
+        ("free_module", ((2, 2), 9), 727044),
+        ("representable", (2, 5), None),
+        ("free_module", ((2, 1), 6), None),
+        ("representable", (0, 3), None),
+    ],
+)
+def test_entry_count_is_the_documents_matrix_entries(build, params, count):
+    # the printable corners stay under the guard; every count is the number
+    # of entries the module's document holds
+    module = getattr(fimod, build)(*params)
+    doc = fimod.module_to_json(module)
+    matrices = [m for block in doc["transpositions"].values() for m in block] + doc["inclusions"]
+    assert cli._entry_count(module.dims) == sum(m["rows"] * m["cols"] for m in matrices)
+    if count is not None:
+        assert cli._entry_count(module.dims) == count <= cli.GUARD_ENTRIES
+
+
+def test_entry_guard_counts_from_dims_and_yields_to_allow_large(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GUARD_ENTRIES", 100)
+    for argv, count, name in [
+        (["representable", "--n", "2", "--max-degree", "4"], 592, "representable(2)"),
+        (["free", "--lambda", "2,1", "--max-degree", "4"], 216, "free((2,1))"),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"would hold {count} matrix entries, over the default guard 100;" in err
+        assert err.count("\n") == 1
+        code, out = run(capsys, *argv, "--allow-large")
+        assert code == 0
+        assert json.loads(out)["name"] == name
 
 
 def test_gn_dimension_and_formats(capsys):

@@ -165,6 +165,19 @@ def test_fraction_entries_parse_and_roundtrip(doc, tmp_path):
     assert json.loads(path.read_text())["inclusions"][2]["entries"][0] == "1/2"
 
 
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_saving_an_overlong_entry_is_a_format_error(denominator, tmp_path):
+    # the save half of the interpreter's 4,300-digit limit: refused as a
+    # format error, as loading such an entry is
+    module = representable(1, 3)
+    entry = 10**5000
+    module.inclusions[1].set(0, 0, entry if denominator == 1 else Fraction(entry, denominator))
+    with pytest.raises(ModuleFormatError, match="entry too long to write: "):
+        dumps_module(module)
+    with pytest.raises(ModuleFormatError):
+        save_module(module, tmp_path / "module.json")
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_module(tmp_path / "missing.json")
