@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -608,7 +609,8 @@ def _check_polynomiality(m, window):
 
 
 # (label, generation bound, builder): the modules of the dictionary, shift and
-# stability sections; each cell builds its own module at the window
+# stability sections; each ``report_sections`` call builds each of them at most
+# once, and its dictionary, shift and stability cells share that module
 _DICTIONARY_MODULES = (
     ("representable(0)", 0, lambda window: representable(0, window)),
     ("representable(1)", 1, lambda window: representable(1, window)),
@@ -624,11 +626,13 @@ def report_sections(n_max: int, k_max: int):
     ``(label, check, args)`` whose ``check(*args)`` returns (passed, detail).
 
     The scale decides which cells are listed and what they check: a cell whose
-    modules the scale's windows cannot hold is left out.
+    modules the scale's windows cannot hold is left out.  The cells of one
+    ``_DICTIONARY_MODULES`` recipe share one module, built on first use, so
+    they share its per-module caches; nothing is shared between calls.
     """
     window = min(8, k_max)
     modules = [
-        (label, build)
+        (label, functools.cache(build))
         for label, bound, build in _DICTIONARY_MODULES
         if bound <= min(3, n_max) and window >= 2 * bound + 1
     ]

@@ -26,6 +26,11 @@ homology dimensions in every degree and the standard inclusion induces an
 isomorphism on degree-0 homology.  The later stage is the witness, and
 the scan (``_stable_stage``) returns it as a ``CubeStage``; a coefficient's
 dims and characters are then read off that one stage (``_coefficient``).
+The witness is memoized per module, next to its coinvariant quotients, so
+each module scans each cube once: ``taylor_coefficient``, the profile and
+every shift check whose n + i is the cube share one witness stage.  Only
+witnesses are kept, not the stages scanned before them, and a cube that
+does not stabilize is scanned again on every call.
 ``delta_coefficient_shift_check`` reads both of its characters, the shifted
 one and the full one, off the single witness stage of the (n+i)-cube.
 A stage outside the window is refused by ``CubeStage`` itself.
@@ -318,8 +323,14 @@ def _embedded_perm(cycle_type, action_start: int, action_size: int, cube: int):
 def _stable_stage(module: FIModule, cube: int) -> CubeStage:
     """The witness stage of the cube: stages are scanned from the generation
     bound up, and the later of the first two consecutive stages that
-    stabilize is returned.  Raises ``NotStabilizedError`` with the homology
-    dims of every stage built when the window runs out first."""
+    stabilize is returned.  The witness is memoized in the module's cache,
+    so every later call for the cube returns the same stage; no other stage
+    is kept.  Raises ``NotStabilizedError`` with the homology dims of every
+    stage built when the window runs out first, and scans again on the next
+    call."""
+    key = ("witness", cube)
+    if key in module._coinv_cache:
+        return module._coinv_cache[key]
     stage = CubeStage(module, cube, module.generation_bound)
     trajectory = [{"stage": stage.k, "dims": stage.homology.dims()}]
     while cube + stage.k < module.max_degree:
@@ -328,6 +339,7 @@ def _stable_stage(module: FIModule, cube: int) -> CubeStage:
         if stage.homology.dims() == dims and (
             not dims[0] or rank(_homology_map(stage.transition_to(nxt), stage, nxt)) == dims[0]
         ):
+            module._coinv_cache[key] = nxt
             return nxt
         trajectory.append({"stage": nxt.k, "dims": dims})
         stage = nxt

@@ -81,6 +81,7 @@ class FIModule:
                 raise ValueError(f"inclusion at degree {k} has wrong shape")
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
+        # (s, k) -> CoinvariantQuotient; ("witness", cube) -> its witness CubeStage
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------

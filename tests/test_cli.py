@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ficalc import cli, fimod, nervehom, symrep
 from ficalc.cli import full_report, main
 from ficalc.combinat import build_poset
-from ficalc.fimod import WindowError
+from ficalc.fimod import WindowError, coefficients
 from ficalc.nervehom import complex_homology, connectivity_check, order_complex
 from ficalc.symrep import StableRangeError, gn_dimension, kostka
 
@@ -418,6 +418,28 @@ def test_report_bytes_are_pinned(capsys, n_max, k_max, fmt):
     code, out = run(capsys, "report", "--n-max", str(n_max), "--k-max", str(k_max), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[n_max, k_max, fmt]
+
+
+def test_report_builds_each_module_once_per_call(monkeypatch):
+    counts = {"representable": 0, "free_module": 0, "CubeStage": 0}
+    for name in ("representable", "free_module"):
+        def counted(*args, name=name, build=getattr(cli, name)):
+            counts[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    class CountedStage(coefficients.CubeStage):
+        def __init__(self, *args):
+            counts["CubeStage"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
+    assert full_report(3, 7)[2]
+    assert counts == {"representable": 13, "free_module": 5, "CubeStage": 128}
+    # a second call starts cold: no module or stage outlives the first
+    assert full_report(3, 7)[2]
+    assert counts == {"representable": 26, "free_module": 10, "CubeStage": 256}
 
 
 def test_crashing_cell_is_a_failing_cell(capsys, monkeypatch):

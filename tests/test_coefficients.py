@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ficalc.cli import _DICTIONARY_MODULES
 from ficalc.combinat import Injection, standard_inclusion
 from ficalc.exactla import (
     Matrix,
@@ -95,13 +96,24 @@ def test_coefficient_window_too_small():
         taylor_coefficient(representable(2, 3), 2)
 
 
-def test_coefficient_not_stabilized_reports_trajectory():
+def test_coefficient_not_stabilized_reports_trajectory(monkeypatch):
     # Window 4 allows only the single stage 2 of the 2-cube: no pair of
     # consecutive stages can agree, so the scan must report what it saw.
-    with pytest.raises(NotStabilizedError) as info:
-        taylor_coefficient(free_module((1, 1), 4), 2)
-    trajectory = info.value.trajectory
-    assert trajectory == [{"stage": 2, "dims": (1, 0, 0)}]
+    # The failure is not memoized: a second call scans and raises again.
+    builds = []
+
+    class CountedStage(CubeStage):
+        def __init__(self, module, cube, k):
+            builds.append((cube, k))
+            super().__init__(module, cube, k)
+
+    monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
+    module = free_module((1, 1), 4)
+    for _ in range(2):
+        with pytest.raises(NotStabilizedError) as info:
+            taylor_coefficient(module, 2)
+        assert info.value.trajectory == [{"stage": 2, "dims": (1, 0, 0)}]
+    assert builds == [(2, 2), (2, 2)]
 
 
 def _live_reducer(module, s, k) -> VectorReducer:
@@ -330,6 +342,31 @@ def test_shift_check_builds_each_stage_once(monkeypatch):
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     assert delta_coefficient_shift_check(representable(2, 8), 1, 1).equal
     assert builds and len(builds) == len(set(builds))
+
+
+WITNESS_WINDOW = 8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for _, _, build in _DICTIONARY_MODULES],
+    ids=[label for label, _, _ in _DICTIONARY_MODULES],
+)
+def test_witness_stage_is_memoized_per_module(build):
+    shared = build(WITNESS_WINDOW)
+    cubes = [c for c in range(5) if c + shared.generation_bound + 1 <= WITNESS_WINDOW]
+    assert cubes
+    for cube in cubes:
+        stage = coefficients._stable_stage(shared, cube)
+        assert coefficients._stable_stage(shared, cube) is stage
+    # every call on the shared module, memo hit or not, reads what a fresh
+    # module reads
+    for n in cubes:
+        assert taylor_coefficient(shared, n) == taylor_coefficient(build(WITNESS_WINDOW), n)
+    for n, i in itertools.product(range(3), repeat=2):
+        if n + i in cubes:
+            fresh = delta_coefficient_shift_check(build(WITNESS_WINDOW), n, i)
+            assert delta_coefficient_shift_check(shared, n, i) == fresh
 
 
 def test_shift_check_reads_what_the_separate_coefficients_read():
