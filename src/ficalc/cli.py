@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import build_poset, poset_size_formula
-from .exactla import CrossCheckError, invariant_factors, rank, smith_normal_form, Matrix
+from .exactla import ComplexInvalidError, CrossCheckError, Matrix, invariant_factors, rank
+from .exactla import smith_normal_form
 from .fimod import (
     DictionaryInapplicableError,
     InstabilityError,
@@ -281,15 +282,16 @@ def _cmd_coefficients(args):
         dim_rows.append((n, coeff.witness, " ".join(str(d) for d in coeff.dims)))
         for ct, value in zip(classes, coeff.characters[0].values):
             char_rows.append((n, _fmt_partition(ct) or "-", _fmt_scalar(value)))
+    ranks = [rank(t) for t in profile.transitions]
     transition_rows = [
-        (f"{n}->{n + 1}", f"{t.rows}x{t.cols}", rank(t))
-        for n, t in enumerate(profile.transitions)
+        (f"{n}->{n + 1}", f"{t.rows}x{t.cols}", r)
+        for n, (t, r) in enumerate(zip(profile.transitions, ranks))
     ]
     doc = {
         "operation": "coefficients",
         "module": module.name,
         "coefficients": coeff_docs,
-        "transition_ranks": [rank(t) for t in profile.transitions],
+        "transition_ranks": ranks,
     }
     tables = [
         Table("coefficients", ("index", "witness stage", "homology dims"), dim_rows),
@@ -827,6 +829,7 @@ _DOMAIN_ERRORS = (
     DictionaryInapplicableError,
     TheoremViolationError,
     CrossCheckError,
+    ComplexInvalidError,
 )
 
 

@@ -27,8 +27,8 @@ isomorphism on degree-0 homology.  The later stage is the witness, and
 the scan (``_stable_stage``) returns it as a ``CubeStage``; a coefficient's
 dims and characters are then read off that one stage (``_coefficient``).
 The witness is memoized per module, next to its coinvariant quotients, so
-each module scans each cube once: ``taylor_coefficient``, the profile and
-every shift check whose n + i is the cube share one witness stage.  Only
+each module scans each cube once: ``taylor_coefficient``, the profile (and
+its transitions at that stage) and every shift check share one witness.  Only
 witnesses are kept, not the stages scanned before them, and a cube that
 does not stabilize is scanned again on every call.
 ``delta_coefficient_shift_check`` reads both of its characters, the shifted
@@ -50,6 +50,7 @@ from ..combinat import (
 )
 from ..exactla import (
     ChainComplex,
+    ComplexInvalidError,
     RationalComplexHomology,
     SparseMatrix,
     VectorReducer,
@@ -242,6 +243,11 @@ class CubeStage:
             lambda s: self.quotients[s].free,
             lambda s, w: self.quotients[s].project(w),
         )
+        try:
+            self.complex.validate()
+        except ComplexInvalidError as exc:
+            msg = f"stage {k} of the {cube}-cube of {module.name} is not a complex: {exc}"
+            raise ComplexInvalidError(exc.degree, msg) from None
         self.dims = self.complex.dims
         self.homology = RationalComplexHomology(self.complex)
 
@@ -412,6 +418,12 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
 # ---------------------------------------------------------------------------
 
 
+def _stage(module: FIModule, cube: int, k: int) -> CubeStage:
+    """Stage k of the cube: the memoized witness when it is that stage, else a new one."""
+    witness = module._coinv_cache.get(("witness", cube))
+    return witness if witness is not None and witness.k == k else CubeStage(module, cube, k)
+
+
 def _sum_over_extensions(
     module: FIModule, f: Injection, k: int
 ) -> tuple[CubeStage, CubeStage, SparseMatrix]:
@@ -422,8 +434,8 @@ def _sum_over_extensions(
     pulling the hit points back.
     """
     n, m = f.source_size, f.target_size
-    src = CubeStage(module, n, k)
-    tgt = CubeStage(module, m, k)
+    src = _stage(module, n, k)
+    tgt = _stage(module, m, k)
     src_q = src.quotients[n]
     tgt_q = tgt.quotients[m]
     missing = [x for x in range(m) if x not in f.image]

@@ -7,20 +7,18 @@ aligned with that ordering (conjugacy classes = cycle types = partitions).
 
 Irreducible characters come from the rim-hook (beta-set) recursion; Kostka
 numbers from exhaustive semistandard tableau enumeration; Specht matrices
-from standard polytabloids with Garnir straightening.  These are independent
-routes, which the test-suite plays against each other.
+from standard polytabloids, with coordinates read off one elimination.  These
+are independent routes, which the test-suite plays against each other.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import permutation_sign
-from .exactla import CrossCheckError, SparseMatrix
+from .exactla import CrossCheckError, SparseMatrix, VectorReducer
 
 Partition = tuple[int, ...]
 
@@ -354,113 +352,61 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Specht matrices: standard polytabloids + Garnir straightening
+# Specht matrices: standard polytabloids, read off one reducer
 # ---------------------------------------------------------------------------
 
-Tableau = tuple[tuple[int, ...], ...]
 
-
-def _columns(t: Tableau) -> list[list[int]]:
-    width = len(t[0]) if t else 0
-    return [[t[i][j] for i in range(len(t)) if j < len(t[i])] for j in range(width)]
-
-
-def _from_columns(shape: Partition, cols: list[list[int]]) -> Tableau:
-    return tuple(tuple(cols[j][i] for j in range(shape[i])) for i in range(len(shape)))
-
-
-def _sort_columns(shape: Partition, t: Tableau) -> tuple[Tableau, int]:
-    """Sort each column ascending; returns (tableau, sign of the sorting)."""
-    sign = 1
-    cols = []
-    for col in _columns(t):
-        order = sorted(range(len(col)), key=lambda i: col[i])
-        sign *= permutation_sign(tuple(order))
-        cols.append(sorted(col))
-    return _from_columns(shape, cols), sign
-
-
-def _first_row_descent(t: Tableau) -> tuple[int, int] | None:
-    for i, row in enumerate(t):
-        for j in range(len(row) - 1):
-            if row[j] > row[j + 1]:
-                return i, j
-    return None
-
-
-def _garnir_terms(shape: Partition, t: Tableau, i: int, j: int):
-    """Expand a row descent at (i, j): yields (tableau, coefficient) terms.
-
-    Uses the relation: the signed sum of polytabloids over all splittings of
-    A u B (A = column j from row i down, B = column j+1 from the top to row i)
-    vanishes, so the identity splitting can be rewritten in the others.
-    """
-    cols = _columns(t)
-    a = cols[j][i:]
-    b = cols[j + 1][: i + 1]
-    union = sorted(a + b)
-    pos = {v: p for p, v in enumerate(union)}
-    original = a + b
-    for a_new in itertools.combinations(union, len(a)):
-        if list(a_new) == a:
-            continue
-        b_new = sorted(set(union) - set(a_new))
-        rearranged = list(a_new) + b_new
-        perm = [0] * len(union)
-        for p in range(len(union)):
-            perm[pos[original[p]]] = pos[rearranged[p]]
-        sign = permutation_sign(tuple(perm))
-        new_cols = [list(c) for c in cols]
-        new_cols[j][i:] = list(a_new)
-        new_cols[j + 1][: i + 1] = b_new
-        yield _from_columns(shape, new_cols), -sign
-
-
-@functools.lru_cache(maxsize=None)
-def _straighten(shape: Partition, t: Tableau) -> tuple[tuple[Tableau, int], ...]:
-    """Express the polytabloid of an arbitrary filling in the standard basis."""
-    t, sign = _sort_columns(shape, t)
-    descent = _first_row_descent(t)
-    if descent is None:
-        return ((t, sign),)
-    out: dict[Tableau, int] = {}
-    for term, coeff in _garnir_terms(shape, t, *descent):
-        for std, c in _straighten(shape, term):
-            total = out.get(std, 0) + sign * coeff * c
-            if total:
-                out[std] = total
-            else:
-                out.pop(std, None)
-    return tuple(sorted(out.items()))
-
-
-def _apply_to_entries(t: Tableau, perm: tuple[int, ...]) -> Tableau:
-    """Apply a permutation (0-based tuple) to the entries (1-based) of t."""
-    return tuple(tuple(perm[x - 1] + 1 for x in row) for row in t)
+def _polytabloid(t: tuple[tuple[int, ...], ...], perms: list) -> dict[tuple[int, ...], int]:
+    """e_T = sum of sign(s).{sT} over the column group of T, each tabloid keyed
+    by the rows of the entries 1..n; ``perms[h]`` lists the signed permutations
+    of a column of height h.  Distinct s give distinct tabloids: coefficients are +-1."""
+    terms = {(): 1}
+    for j in range(len(t[0]) if t else 0):
+        col = [row[j] for row in t if j < len(row)]
+        terms = {
+            a + tuple(zip(col, p)): c * s for a, c in terms.items() for p, s in perms[len(col)]
+        }
+    return {tuple(r for _, r in sorted(a)): c for a, c in terms.items()}
 
 
 def specht_matrices(lam: Partition) -> list[SparseMatrix]:
     """Integer matrices of the adjacent transpositions on the Specht module.
 
-    Basis: standard polytabloids in sorted tableau order.  Entry (r, c) is
-    the coefficient of standard tableau r in the straightening of (generator
-    applied to standard tableau c).
+    Basis: the standard polytabloids in sorted tableau order, held by one
+    ``VectorReducer`` over the tabloids of their support, each tagged with its
+    own coordinate past them.  Generator g exchanges the rows of entries g and
+    g + 1 in every tabloid; the negated tags of the moved polytabloid's
+    remainder are its coordinates.  A moved vector off the support, or off the
+    integral span of the basis, raises ``CrossCheckError``.
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    basis = standard_tableaux(lam)
-    index = {t: i for i, t in enumerate(basis)}
-    d = len(basis)
+    perms = [[((), 1)]]  # perms[h]: the permutations of range(h) with their signs
+    for x in range(len(lam)):  # x placed at i adds x - i inversions
+        perms.append([(p[:i] + (x,) + p[i:], s * (-1) ** (x - i))
+                      for p, s in perms[x] for i in range(x + 1)])
+    polys = [_polytabloid(t, perms) for t in standard_tableaux(lam)]
+    # lexicographic order puts {T} first among the tabloids of e_T, so every
+    # pivot is 1 and the elimination stays in int arithmetic
+    index = {key: i for i, key in enumerate(sorted(set().union(*polys)))}
+    m = len(index)
+    basis = [{index[key]: c for key, c in e.items()} for e in polys]
+    red = VectorReducer()
+    for s, e in enumerate(basis):
+        if red.insert({**e, m + s: 1}) >= m:  # a pivot on a tag: e is in the span
+            raise CrossCheckError(f"standard polytabloids of {lam} are dependent")
     mats = []
-    for g in range(1, n):
-        perm = list(range(n))
-        perm[g - 1], perm[g] = perm[g], perm[g - 1]
-        perm = tuple(perm)
-        columns = [
-            {index[std]: coeff for std, coeff in _straighten(lam, _apply_to_entries(t, perm))}
-            for t in basis
-        ]
-        mats.append(SparseMatrix(d, d, columns))
+    for g in range(1, sum(lam)):
+        swap = [index.get(k[: g - 1] + (k[g], k[g - 1]) + k[g + 1 :]) for k in index]
+        columns = []
+        for e in basis:
+            moved = {swap[i]: c for i, c in e.items()}
+            if None in moved:
+                raise CrossCheckError(f"s_{g} moves a polytabloid of {lam} off the support")
+            rem = red.reduce(moved)
+            if rem and min(rem) < m or any(x.denominator != 1 for x in rem.values()):
+                raise CrossCheckError(f"s_{g} moves a polytabloid of {lam} off the integral span")
+            columns.append({j - m: int(-x) for j, x in sorted(rem.items())})
+        mats.append(SparseMatrix(len(basis), len(basis), columns))
     return mats
 
 

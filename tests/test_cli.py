@@ -436,10 +436,10 @@ def test_report_builds_each_module_once_per_call(monkeypatch):
 
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     assert full_report(3, 7)[2]
-    assert counts == {"representable": 13, "free_module": 5, "CubeStage": 128}
+    assert counts == {"representable": 13, "free_module": 5, "CubeStage": 108}
     # a second call starts cold: no module or stage outlives the first
     assert full_report(3, 7)[2]
-    assert counts == {"representable": 26, "free_module": 10, "CubeStage": 256}
+    assert counts == {"representable": 26, "free_module": 10, "CubeStage": 216}
 
 
 def test_crashing_cell_is_a_failing_cell(capsys, monkeypatch):
@@ -480,6 +480,7 @@ def test_negative_max_index_is_a_usage_error(tmp_path, capsys, command):
         (cli.DictionaryInapplicableError("not free"), 1),
         (cli.TheoremViolationError("wrong rank"), 1),
         (cli.CrossCheckError("routes disagree"), 1),
+        (cli.ComplexInvalidError(0, "d . d != 0 entering degree 0"), 1),
         (StableRangeError("below the stable range"), 2),
         (WindowError("outside the window"), 2),
         (FileNotFoundError(2, "No such file or directory"), 2),

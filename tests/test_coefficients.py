@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficalc.cli import _DICTIONARY_MODULES
+from ficalc.cli import _DICTIONARY_MODULES, main
 from ficalc.combinat import Injection, standard_inclusion
 from ficalc.exactla import (
+    ComplexInvalidError,
     Matrix,
     RationalComplexHomology,
     SparseMatrix,
@@ -31,8 +32,10 @@ from ficalc.fimod import (
     delta_complex,
     free_module,
     representable,
+    save_module,
     shifted_coefficient,
     taylor_coefficient,
+    validate,
     zero_module,
 )
 from ficalc.fimod import coefficients
@@ -342,6 +345,54 @@ def test_shift_check_builds_each_stage_once(monkeypatch):
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     assert delta_coefficient_shift_check(representable(2, 8), 1, 1).equal
     assert builds and len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize(
+    "build,stages",
+    [
+        (lambda: representable(4, 9), 16),
+        (lambda: representable(3, 9), 14),
+        (lambda: free_module((2, 1), 8), 14),
+    ],
+    ids=["representable(4,9)", "representable(3,9)", "free((2,1),8)"],
+)
+def test_profile_transitions_reuse_the_witness_stage(monkeypatch, build, stages):
+    builds = []
+
+    class CountedStage(CubeStage):
+        def __init__(self, module, cube, k):
+            builds.append((cube, k))
+            super().__init__(module, cube, k)
+
+    monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
+    coefficient_profile(build())
+    assert len(builds) == stages
+
+
+def test_stage_that_is_not_a_complex_raises(tmp_path, capsys):
+    # representable(2, 7) with column 2 of its inclusion 4 -> 5 doubled: it
+    # fails validate, and stage 2 of its 3-cube is not a complex
+    intact = representable(2, 7)
+    inclusions = list(intact.inclusions)
+    columns = [dict(c) for c in inclusions[4].columns]
+    columns[2] = {i: 2 * x for i, x in columns[2].items()}
+    inclusions[4] = SparseMatrix(inclusions[4].rows, inclusions[4].cols, columns)
+    module = FIModule("broken", 7, 2, intact.dims, intact.transpositions, inclusions)
+    assert not validate(module).valid
+    message = "stage 2 of the 3-cube of broken is not a complex: d . d != 0 entering degree 0"
+    for compute in (
+        lambda: taylor_coefficient(module, 3),
+        lambda: delta_coefficient_shift_check(module, 1, 2),
+    ):
+        with pytest.raises(ComplexInvalidError) as excinfo:
+            compute()
+        assert str(excinfo.value) == message and excinfo.value.degree == 0
+    assert taylor_coefficient(intact, 3).witness == 3
+    # a domain error of the command line: exit 1, blaming the module
+    path = tmp_path / "broken.json"
+    save_module(module, path)
+    assert main(["coefficients", str(path), "--max-index", "3"]) == 1
+    assert capsys.readouterr().err == f"fi-calc coefficients: {message}\n"
 
 
 WITNESS_WINDOW = 8

@@ -1,5 +1,7 @@
 """Characters, Kostka numbers, Specht modules, and stable layer counts."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from ficalc.combinat import conjugacy_class_word
 from ficalc import symrep
 from ficalc.exactla import CrossCheckError, SparseMatrix
+from ficalc.fimod import dumps_module, free_module
 from ficalc.symrep import (
     ClassFunction,
     NotACharacterError,
@@ -256,6 +259,52 @@ def test_specht_matrices_satisfy_coxeter_relations():
         for i in range(len(mats)):
             for j in range(i + 2, len(mats)):
                 assert mats[i].compose(mats[j]).columns == mats[j].compose(mats[i]).columns
+
+
+SPECHT_DIGEST = "1d67c5bd9d89a45a182a646c679eabaf9f2474679437697ec83e577d6d5e824b"
+FREE_MODULE_DIGEST = "7179dd2c41d3ca54aadfcdcb62fa2427324b2e6c1063c75ff3dbfad85724faa5"
+
+
+def test_specht_matrices_are_pinned_by_digest():
+    # entries, their types and each column's row order, for every lam of n <= 7
+    doc = {
+        str(lam): [
+            [sorted((r, int(v), type(v).__name__) for r, v in c.items()) for c in m.columns]
+            for m in specht_matrices(lam)
+        ]
+        for n in range(1, 8)
+        for lam in partitions_of(n)
+    }
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == SPECHT_DIGEST
+    for lam in partitions_of(5):
+        for m in specht_matrices(lam):
+            assert all(list(c) == sorted(c) for c in m.columns)
+
+
+def test_free_module_documents_are_pinned_by_digest():
+    text = "".join(
+        dumps_module(free_module(lam, 7)) for n in range(1, 6) for lam in partitions_of(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FREE_MODULE_DIGEST
+
+
+def test_specht_matrices_off_the_basis_raise(monkeypatch):
+    tableaux = symrep.standard_tableaux
+    monkeypatch.setattr(symrep, "standard_tableaux", lambda lam: tableaux(lam)[:-1])
+    with pytest.raises(CrossCheckError, match="polytabloid of \\(2, 1\\) off the support"):
+        specht_matrices((2, 1))
+
+
+def test_specht_matrices_off_the_integral_span_raise(monkeypatch):
+    polytabloid = symrep._polytabloid
+
+    def doubled(t, perms):
+        e = polytabloid(t, perms)
+        return {key: 2 * c for key, c in e.items()} if t == ((1, 2), (3,)) else e
+
+    monkeypatch.setattr(symrep, "_polytabloid", doubled)
+    with pytest.raises(CrossCheckError, match="off the integral span"):
+        specht_matrices((2, 1))
 
 
 def test_specht_traces_match_characters():
