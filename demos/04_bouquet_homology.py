@@ -29,7 +29,7 @@ C = order_complex(P)
 print("P(2,4): vertices", C.size(0), "edges", C.size(1))
 print("Euler characteristic:", C.euler_characteristic())
 
-# Reduced integral homology: coreduction, then Smith normal form of the residue.
+# Reduced integral homology: unit pivots, then Smith normal form of the leftovers.
 result = complex_homology(C)
 print("reduced betti:", result.betti, "torsion:", result.torsion)
 

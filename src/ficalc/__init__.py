@@ -5,7 +5,7 @@ Layers, bottom up:
 - ``combinat``: injections, their factorizations, and partial-bijection posets;
 - ``exactla``: exact linear algebra over the rationals and integers
   (one sparse rational elimination core, Smith normal form, chain-complex
-  homology, integrally after coreduction);
+  homology, integrally after unit-pivot elimination);
 - ``symrep``: symmetric-group characters, Specht modules, Kostka numbers,
   padded partitions, and the stable multiplicity counts;
 - ``fimod``: the module calculus itself — truncations, polynomiality,

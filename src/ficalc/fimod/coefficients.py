@@ -393,9 +393,13 @@ class ShiftCheckResult:
 
 
 def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftCheckResult:
-    """Compare the i-th coefficient of the n-fold difference against the
-    (n+i)-th coefficient with its character restricted to the i-block; both
-    are read off one witness stage of the (n+i)-cube."""
+    """Compare two traces on one witness stage of the (n+i)-cube: of each
+    cycle type of S_i acting on the last i cube coordinates (the
+    ``shifted_coefficient``), and of the same type padded with n fixed
+    points acting on all n+i.  The permutations are conjugate, so this
+    checks that ``CubeStage.homology_trace`` is a class function; it is not
+    an independent check of the shift theorem, which would take the i-th
+    coefficient of the n-fold difference module itself."""
     stage = _stable_stage(module, n + i)
     lhs = _coefficient(stage, n, i)
     full = _coefficient(stage, 0, n + i)

@@ -14,10 +14,10 @@ certificate runs on ``chessboard_complex`` (for (3,7): 357 cells, not 3,129).
 
 ``complex_homology`` passes the augmented complex (one cell in degree -1,
 which every vertex maps to) to integral ``homology``, so the reduced homology
-is read off directly and coreduction starts by pairing one vertex with the
-augmentation cell, then walks the complex breadth-first from there.  In the
-wedge range the residue is exactly the ``gn_dimension(n, k)`` cells of degree
-n-1, with no boundary left for Smith normal form (M_{4,7}: 225 of 1,960).
+is read off directly and the unit-pivot elimination starts by pairing one
+vertex with the augmentation cell.  In the wedge range every ±1 pivot is
+found and no leftover reaches Smith normal form (M_{4,7}: 225 classes from
+1,960 cells); below it the leftovers are small (M_{5,5}: 1 x 24).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from ficalc.exactla import (
     ShapeMismatchError,
     SparseMatrix,
     VectorReducer,
-    _coreduce,
+    _SnfWorker,
+    _unit_reduction,
     cokernel,
     homology,
     invariant_factors,
@@ -323,7 +324,7 @@ def _augment(c):
 
 def plain_snf_homology(c):
     """(Betti numbers, torsion) from the Smith normal form of every full
-    differential, without coreduction."""
+    differential, without the unit-pivot reduction."""
     factors = [invariant_factors(d.to_matrix()) for d in c.differentials]
     ranks = [0, *map(len, factors), 0]
     betti = tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(c.dims))
@@ -347,35 +348,55 @@ def test_moore_style_torsion():
     assert res.torsion == ((2,), ())
 
 
-def test_coreduction_never_pairs_a_non_unit_entry():
-    doubling = ChainComplex((1, 1), (SparseMatrix(1, 1, [{0: 2}]),))
-    residue = _coreduce(doubling)
-    assert residue.dims == (1, 1)
-    assert residue.differentials[0].columns == [{0: 2}]
+def test_unit_reduction_never_pivots_on_a_non_unit_entry():
+    doubling = SparseMatrix(1, 1, [{0: 2}])
+    pivots, leftover = _unit_reduction(doubling, set())
+    assert pivots == []
+    assert (leftover.rows, leftover.cols, leftover.columns) == (1, 1, [{0: 2}])
 
 
-def test_coreduction_keeps_the_restricted_boundaries():
-    # the circle has no unit pair to start from; once augmented, the pairs
-    # (vertex 0, augmentation), (edge 01, vertex 1), (edge 02, vertex 2)
-    # leave edge 12, whose boundary lost both of its vertices
-    circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
-    assert _coreduce(circle).dims == circle.dims
-    residue = _coreduce(_augment(circle))
-    assert residue.dims == (0, 0, 1)
-    assert residue.differentials[1].columns == [{}]
+def test_unit_reduction_of_the_augmented_circle_leaves_one_cycle():
+    # the augmentation pivots on vertex 0; with that row dropped, edges 01
+    # and 02 pivot on vertices 1 and 2, and edge 12 is left as the cycle
+    circle = _augment(_simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]]))
+    augmentation, edges = circle.differentials
+    pivots, leftover = _unit_reduction(augmentation, set())
+    assert pivots == [0]
+    assert (leftover.rows, leftover.cols) == (0, 0)
+    pivots, leftover = _unit_reduction(edges, set(pivots))
+    assert len(pivots) == 2
+    assert (leftover.rows, leftover.cols) == (0, 0)
+    assert homology(circle, integral=True).betti == (0, 0, 1)
 
 
-def test_coreduction_rejects_a_pair_that_breaks_d_squared():
-    # d.d != 0: removing the pair (edge 0, vertex 0) leaves edge 1 as the
-    # only face of the 2-cell, but the boundary of edge 1 is 2 * vertex 1
+def test_integral_homology_rejects_a_complex_that_breaks_d_squared():
+    # d.d != 0: the 2-cell's boundary, edge 0 plus edge 1, maps to
+    # vertex 0 plus twice vertex 1
     c = ChainComplex(
         (2, 2, 1),
         (SparseMatrix(2, 2, [{0: 1}, {1: 2}]), SparseMatrix(2, 1, [{0: 1, 1: 1}])),
     )
-    with pytest.raises(CrossCheckError, match="boundary is not empty"):
-        _coreduce(c)
     with pytest.raises(ComplexInvalidError):
         homology(c, integral=True)
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Up to 12 x 12, entries -3..3, mostly zero."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    entries = st.sampled_from([0] * 8 + list(range(-3, 4)))
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)], cols
+
+
+@given(sparse_integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_unit_pivots_and_leftover_factors_are_the_invariant_factors(drawn):
+    rows, cols = drawn
+    a = Matrix.from_rows(rows, cols)
+    pivots, leftover = _unit_reduction(SparseMatrix.from_matrix(a), set())
+    units = [1] * len(pivots)
+    assert units + _SnfWorker(leftover, accumulate=False).run() == invariant_factors(a)
 
 
 def test_integral_homology_rejects_fractional_entries():
@@ -489,17 +510,16 @@ def test_coreduced_homology_matches_plain_smith_normal_form(c, augmented):
     assert (result.betti, result.torsion) == plain_snf_homology(c)
 
 
-def test_euler_check_catches_a_cell_deleted_without_its_pair(monkeypatch):
-    circle = _simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]])
-    coreduce = exactla._coreduce
+def test_betti_check_catches_an_over_counted_pivot(monkeypatch):
+    # the augmented circle has no homology below degree 1, so one pivot too
+    # many in any differential drives a Betti number below zero
+    circle = _augment(_simplicial_complex(3, [[(0, 1), (0, 2), (1, 2)]]))
+    reduce = exactla._unit_reduction
 
-    def drop_last_cell(c):
-        residue = coreduce(c)
-        top = residue.differentials[-1]
-        dims = residue.dims[:-1] + (residue.dims[-1] - 1,)
-        cut = SparseMatrix(top.rows, top.cols - 1, top.columns[:-1])
-        return ChainComplex(dims, residue.differentials[:-1] + (cut,))
+    def over_count(d, done):
+        pivots, leftover = reduce(d, done)
+        return pivots + [d.cols], leftover
 
-    monkeypatch.setattr(exactla, "_coreduce", drop_last_cell)
-    with pytest.raises(CrossCheckError, match="Euler characteristic"):
+    monkeypatch.setattr(exactla, "_unit_reduction", over_count)
+    with pytest.raises(CrossCheckError, match="negative Betti"):
         homology(circle, integral=True)

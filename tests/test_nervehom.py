@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ficalc import nervehom
+from ficalc import exactla, nervehom
 from ficalc.combinat import build_poset
-from ficalc.exactla import HomologyResult, Matrix, SparseMatrix, _coreduce, invariant_factors
+from ficalc.exactla import HomologyResult, Matrix, SparseMatrix, _unit_reduction, invariant_factors
 from ficalc.nervehom import (
     OrderComplex,
     TheoremViolationError,
@@ -236,8 +236,8 @@ def test_chessboard_torsion_below_the_range():
 
 
 def test_integral_homology_builds_no_dense_matrix(monkeypatch):
-    # the residues of M_{5,5} and M_{4,5} keep a boundary, which reaches
-    # Smith normal form as the sparse matrix it is
+    # the leftover of M_{5,5} keeps a boundary, which reaches Smith normal
+    # form as the sparse matrix it is
     expected = plain_reduced_homology(chessboard_complex(4, 5))
 
     def dense(*args):
@@ -265,17 +265,61 @@ def test_chessboard_five_into_six_has_no_torsion():
     assert not any(result.torsion)
 
 
-def test_four_into_seven_coreduces_to_its_spheres():
-    # coreduction of the augmented M_{4,7} is a perfect matching: the residue
-    # is 225 cells of degree 3 (index 4 after degree -1) with no boundary
-    residue = _coreduce(_augmented_chains(chessboard_complex(4, 7)))
-    assert residue.dims == (0, 0, 0, 0, 225)
-    assert not any(d.nnz() for d in residue.differentials)
+def test_chessboard_connectivity_bound_is_sharp():
+    # reduced homology of M_{n,k} vanishes below nu = min(n, (n+k+1)//3) - 1
+    # (Bjorner-Lovasz-Vrecica-Zivaljevic, J. London Math. Soc. 49, 1994) and
+    # not in degree nu (Shareshian-Wachs, Adv. Math. 212, 2007)
+    for n in range(1, 6):
+        for k in range(max(n, 2), 9):
+            result = complex_homology(chessboard_complex(n, k))
+            nu = min(n, (n + k + 1) // 3) - 1
+            assert not any(result.betti[:nu]) and not any(result.torsion[:nu]), (n, k)
+            assert result.betti[nu] or result.torsion[nu], (n, k)
+
+
+def test_chessboard_three_torsion_at_six():
+    # the bottom nonvanishing degree of M_{6,6} and M_{6,7} carries Z/3
+    six = complex_homology(chessboard_complex(6, 6))
+    assert six.betti == (0, 0, 0, 25, 210, 0)
+    assert six.torsion == ((), (), (), (3,) * 10, (), ())
+    seven = complex_homology(chessboard_complex(6, 7))
+    assert seven.betti == (0, 0, 0, 0, 1092, 1)
+    assert seven.torsion == ((), (), (), (3,), (), ())
+
+
+def test_smith_normal_form_sees_only_small_leftovers(monkeypatch):
+    # each differential drops the rows the one below used as pivot columns
+    # before its own elimination; without that, M_{5,5} would leave 8 x 56
+    shapes = []
+
+    class Recording(exactla._SnfWorker):
+        def __init__(self, a, accumulate):
+            shapes.append((a.rows, a.cols))
+            super().__init__(a, accumulate)
+
+    monkeypatch.setattr(exactla, "_SnfWorker", Recording)
+    complex_homology(chessboard_complex(5, 5))
+    assert shapes == [(0, 0), (0, 0), (0, 0), (1, 24), (0, 0)]
+    shapes.clear()
+    complex_homology(chessboard_complex(6, 6))
+    assert shapes == [(0, 0), (0, 0), (0, 0), (0, 0), (30, 327), (0, 0)]
+
+
+def test_four_into_seven_reduces_to_its_spheres():
+    # every differential of the augmented M_{4,7} is eliminated by unit
+    # pivots alone: no leftover reaches Smith normal form, and the 225
+    # spheres of degree 3 are what the pivots leave of the 840 cells there
+    chains = _augmented_chains(chessboard_complex(4, 7))
+    pivots = ()
+    for d in chains.differentials:
+        pivots, leftover = _unit_reduction(d, set(pivots))
+        assert (leftover.rows, leftover.cols) == (0, 0)
+    assert complex_homology(chessboard_complex(4, 7)).betti == (0, 0, 0, 225)
 
 
 def plain_reduced_homology(complex):
     """Reduced integral homology from the Smith normal form of every full,
-    unreduced boundary, without coreduction."""
+    unreduced boundary, without the unit-pivot reduction."""
     dims = [len(batch) for batch in complex.simplices]
     factors = [invariant_factors(_boundary(complex, d).to_matrix()) for d in range(1, len(dims))]
     ranks = [0, *map(len, factors), 0]
@@ -285,7 +329,7 @@ def plain_reduced_homology(complex):
     return HomologyResult(tuple(betti), tuple(torsion))
 
 
-def coreduction_mismatches(n_max, k_max, nerve_max):
+def reduction_mismatches(n_max, k_max, nerve_max):
     """The complexes on which ``complex_homology`` differs from plain Smith
     normal form: M_{n,k} for 1 <= n <= n_max, 1 <= k <= k_max, and the nerves
     of P(n,k) for 1 <= n, k <= nerve_max."""
@@ -307,7 +351,7 @@ def coreduction_mismatches(n_max, k_max, nerve_max):
 
 
 def test_coreduced_homology_matches_plain_smith_normal_form():
-    assert coreduction_mismatches(3, 6, 3) == []
+    assert reduction_mismatches(3, 6, 3) == []
 
 
 def augmented_snf_homology(complex):
