@@ -16,9 +16,9 @@ pivots are all ±1 is eliminated in ``int`` arithmetic.
 Integral homology first eliminates the ±1 entries of each differential
 (``_unit_reduction``, from degree 0 upward, so a free face is a length-1
 column and costs no arithmetic), and only the leftovers reach Smith normal
-form (``_SnfWorker``, the one integer elimination, which reads them sparse).
-It keeps the matrix both by rows and by columns, so each elementary operation
-is written once: a column operation is the row operation on the mirrored copy.
+form (``_SnfWorker``, which reads them sparse).  The worker keeps the matrix
+both by rows and by columns, so each elementary operation is written once: a
+column operation is the row operation on the mirrored copy.
 """
 
 from __future__ import annotations
@@ -411,7 +411,8 @@ def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
 
 
 class _SnfWorker:
-    """The one integer elimination: Smith normal form by pivoting.
+    """Smith normal form by pivoting, for the leftovers of
+    ``_unit_reduction`` and the public Smith normal form functions.
 
     The matrix is kept twice, ``lines[0]`` by rows and ``lines[1]`` by
     columns, each line a dict {index: int} with no zero entries, so a column

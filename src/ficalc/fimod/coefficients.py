@@ -4,10 +4,12 @@ For a module E and cube size n, the stage-k complex has, in homological
 degree i, one summand E(|S| + k) for each subset S of {0..n-1} with
 |S| = n - i (the full subset sits in degree 0).  The differential out of
 the summand at S inserts each missing element x with sign
-(-1)^{#{y in S : y < x}}.  One assembler, ``_cube_complex``, lays out
-every such complex: ``CubeStage`` passes the coinvariant quotients below,
-``delta_complex`` the full summands, and ``is_polynomial`` reads the
-acyclicity of the full cubes.
+(-1)^{#{y not in S : y < x}}, the contraction sign of x among the missing
+elements, so permuting the cube coordinates with the sign of sorting the
+permuted missing elements (``action_matrix``) is a chain map.  One
+assembler, ``_cube_complex``, lays out every such complex: ``CubeStage``
+passes the coinvariant quotients below, ``delta_complex`` the full summands,
+and ``is_polynomial`` reads the acyclicity of the full cubes.
 
 Over the rationals, coinvariants by the tail symmetric group are exact,
 so the stage homology is computed on the quotient complex where each
@@ -31,8 +33,12 @@ each module scans each cube once: ``taylor_coefficient``, the profile (and
 its transitions at that stage) and every shift check share one witness.  Only
 witnesses are kept, not the stages scanned before them, and a cube that
 does not stabilize is scanned again on every call.
-``delta_coefficient_shift_check`` reads both of its characters, the shifted
-one and the full one, off the single witness stage of the (n+i)-cube.
+Characters walk the class tree of ``action_character`` over the homology
+matrices of adjacent transpositions of cube coordinates, so a degree costs at
+most one ``action_matrix`` per generator and a degree without homology none.
+``delta_coefficient_shift_check`` reads both of its characters, on the last
+and on the first cube coordinates, off the single witness stage of the
+(n+i)-cube.
 A stage outside the window is refused by ``CubeStage`` itself.
 """
 
@@ -42,12 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..combinat import (
-    Injection,
-    conjugacy_class_word,
-    permutation_from_word,
-    standard_inclusion,
-)
+from ..combinat import Injection, permutation_from_word, standard_inclusion
 from ..exactla import (
     ChainComplex,
     ComplexInvalidError,
@@ -57,7 +58,7 @@ from ..exactla import (
     rank,
     vec_add,
 )
-from ..symrep import ClassFunction, partitions_of
+from ..symrep import ClassFunction, action_character
 from .core import FIModule, InstabilityError, NotStabilizedError, WindowError
 
 
@@ -171,7 +172,7 @@ def _insertion(subset: tuple[int, ...], x: int, k: int) -> Injection:
 
 
 def _insertion_sign(subset: tuple[int, ...], x: int) -> int:
-    below = sum(1 for y in subset if y < x)
+    below = sum(1 for y in range(x) if y not in subset)
     return -1 if below % 2 else 1
 
 
@@ -274,14 +275,17 @@ class CubeStage:
                 }
         return act
 
-    def homology_trace(self, perm: tuple[int, ...], degree: int) -> Fraction:
-        if not self.homology.dims()[degree]:
-            return Fraction(0)
-        act = self.action_matrix(perm, degree)
-        total = Fraction(0)
-        for j, rep in enumerate(self.homology.rep_vectors[degree]):
-            total += self.homology.express(degree, act.apply(rep)).get(j, 0)
-        return total
+    def homology_trace(self, degree: int, start: int, size: int) -> ClassFunction:
+        """Character of S_size permuting the cube coordinates start ..
+        start+size-1 on degree-``degree`` homology: ``action_character`` over
+        the homology matrices of the size-1 adjacent transpositions, which are
+        built only when the degree has homology."""
+        dim = self.homology.dims()[degree]
+        generators = {}
+        for g in range(1, size) if dim else ():
+            perm = permutation_from_word([start + g], self.cube)
+            generators[g] = _homology_map(self.action_matrix(perm, degree), self, self, degree)
+        return action_character(size, dim, lambda g, v: generators[g].apply(v))
 
     def transition_to(self, other: "CubeStage") -> SparseMatrix:
         """Quotient-coordinate matrix of the standard inclusion on degree 0."""
@@ -296,11 +300,15 @@ class CubeStage:
         return SparseMatrix(tgt_q.dim, src_q.dim, columns)
 
 
-def _homology_map(t: SparseMatrix, src: CubeStage, tgt: CubeStage) -> SparseMatrix:
-    """Degree-0 homology matrix of a quotient-level map ``t`` from ``src`` to
-    ``tgt``, in their homology bases."""
-    columns = [tgt.homology.express(0, t.apply(rep)) for rep in src.homology.rep_vectors[0]]
-    return SparseMatrix(tgt.homology.dims()[0], len(columns), columns)
+def _homology_map(
+    t: SparseMatrix, src: CubeStage, tgt: CubeStage, degree: int = 0
+) -> SparseMatrix:
+    """Homology matrix in ``degree`` of a quotient-level map ``t`` from
+    ``src`` to ``tgt``, in their homology bases."""
+    columns = [
+        tgt.homology.express(degree, t.apply(rep)) for rep in src.homology.rep_vectors[degree]
+    ]
+    return SparseMatrix(tgt.homology.dims()[degree], len(columns), columns)
 
 
 @dataclass(frozen=True)
@@ -317,13 +325,6 @@ class GradedCoefficient:
     dims: tuple[int, ...]
     characters: tuple[ClassFunction, ...]
     witness: int
-
-
-def _embedded_perm(cycle_type, action_start: int, action_size: int, cube: int):
-    base = permutation_from_word(conjugacy_class_word(cycle_type), action_size)
-    return tuple(range(action_start)) + tuple(action_start + v for v in base) + tuple(
-        range(action_start + action_size, cube)
-    )
 
 
 def _stable_stage(module: FIModule, cube: int) -> CubeStage:
@@ -359,12 +360,8 @@ def _stable_stage(module: FIModule, cube: int) -> CubeStage:
 def _coefficient(stage: CubeStage, action_start: int, action_size: int) -> GradedCoefficient:
     """The coefficient read off a witness stage, with the characters of the
     symmetric group on the cube coordinates from ``action_start`` on."""
-    perms = [
-        _embedded_perm(ct, action_start, action_size, stage.cube)
-        for ct in partitions_of(action_size)
-    ]
     characters = tuple(
-        ClassFunction(action_size, tuple(stage.homology_trace(p, degree) for p in perms))
+        stage.homology_trace(degree, action_start, action_size)
         for degree in range(stage.cube + 1)
     )
     return GradedCoefficient(stage.cube, action_size, stage.homology.dims(), characters, stage.k)
@@ -393,28 +390,18 @@ class ShiftCheckResult:
 
 
 def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftCheckResult:
-    """Compare two traces on one witness stage of the (n+i)-cube: of each
-    cycle type of S_i acting on the last i cube coordinates (the
-    ``shifted_coefficient``), and of the same type padded with n fixed
-    points acting on all n+i.  The permutations are conjugate, so this
-    checks that ``CubeStage.homology_trace`` is a class function; it is not
-    an independent check of the shift theorem, which would take the i-th
+    """Compare two characters of S_i on one witness stage of the (n+i)-cube:
+    acting on the last i cube coordinates (the ``shifted_coefficient``) and
+    on the first i.  The second has the values the padded classes ct + 1^n
+    of S_{n+i} take, since ``conjugacy_class_word`` gives them the same
+    word.  The two actions are conjugate, so this checks that
+    ``CubeStage.homology_trace`` is a class function; it is not an
+    independent check of the shift theorem, which would take the i-th
     coefficient of the n-fold difference module itself."""
     stage = _stable_stage(module, n + i)
     lhs = _coefficient(stage, n, i)
-    full = _coefficient(stage, 0, n + i)
-    classes = partitions_of(i)
-    rhs_chars = []
-    for degree in range(n + i + 1):
-        values = []
-        for ct in classes:
-            padded = tuple(sorted(ct + (1,) * n, reverse=True))
-            values.append(full.characters[degree](padded))
-        rhs_chars.append(ClassFunction(i, tuple(values)))
-    equal = lhs.dims == full.dims and all(
-        lhs.characters[d].values == rhs_chars[d].values for d in range(n + i + 1)
-    )
-    return ShiftCheckResult(lhs, full.dims, tuple(rhs_chars), equal)
+    rhs = _coefficient(stage, 0, i)
+    return ShiftCheckResult(lhs, rhs.dims, rhs.characters, lhs.characters == rhs.characters)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..combinat import conjugacy_class_word, permutation_from_word
+from ..combinat import permutation_from_word
 from ..symrep import (
     ClassFunction,
     Partition,
     RepDecomposition,
     StableRangeError,
+    action_character,
     decompose_class_function,
     pad_partition,
     partitions_of,
@@ -35,37 +36,15 @@ class DictionaryInapplicableError(ValueError):
 
 
 def stage_character(module: FIModule, k: int) -> ClassFunction:
-    """Character of the S_k-action on the degree-k stage of the module.
-
-    The class words of ``conjugacy_class_word`` are prefix-closed, so they
-    form a tree rooted at the identity's empty word, each class one letter
-    below its parent.  Each basis vector walks that tree once, applying one
-    adjacent transposition per class to its parent's image.  The image at a
-    class is the vector under its word read letter by letter, the inverse of
-    the class's representative and so in the same class.  The values are
-    therefore the character only when the generator matrices satisfy the
-    Coxeter relations (``validate``); otherwise they depend on the words.
-    """
-    dim = module.dim(k)
-    classes = partitions_of(k)
-    words = [tuple(conjugacy_class_word(cycle_type)) for cycle_type in classes]
-    position = {word: i for i, word in enumerate(words)}
-    # (class, parent class, last letter as a permutation), parents first
-    steps = [
-        (i, position[word[:-1]], permutation_from_word(word[-1:], k))
-        for i, word in sorted(enumerate(words), key=lambda item: len(item[1]))
-        if word
-    ]
-    root = position[()]
-    values = [0] * len(classes)
-    values[root] = dim
-    images: list[dict] = [{} for _ in classes]
-    for b in range(dim):
-        images[root] = {b: 1}
-        for i, parent, swap in steps:
-            images[i] = module.apply_permutation(k, swap, images[parent])
-            values[i] += images[i].get(b, 0)
-    return ClassFunction(k, tuple(values))
+    """Character of the S_k-action on the degree-k stage of the module:
+    ``action_character`` walking each basis vector down the class tree, one
+    ``apply_permutation`` of an adjacent transposition per class.  The values
+    are the character only when the generator matrices satisfy the Coxeter
+    relations (``validate``)."""
+    swaps = {g: permutation_from_word([g], k) for g in range(1, k)}
+    return action_character(
+        k, module.dim(k), lambda g, v: module.apply_permutation(k, swaps[g], v)
+    )
 
 
 def stable_decomposition(module: FIModule, k: int) -> RepDecomposition:

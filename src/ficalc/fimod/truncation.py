@@ -140,41 +140,22 @@ def is_polynomial(module: FIModule, n: int) -> PolynomialCertificate:
 
 def pn_representable(m: int, n: int, k: int) -> int:
     """Dimension of the level-n polynomial approximation of the rank-m
-    injection module at degree k, computed as the limit over the poset of
-    subsets of the rank set of size <= n (kernel of the cover difference
-    map)."""
+    injection module at degree k: the limit, over the poset of subsets of
+    the rank set of size <= n, of the restrictions of injections into k.
+    Over Q a limit has the dimension of the colimit of the transposed
+    diagram, in which each injection from the smaller subset goes to every
+    injection that restricts to it."""
     if m < 0 or n < 0 or k < 0:
         raise ValueError("arguments must be non-negative")
     vertices = _subset_poset(m, n)
     index = {v: i for i, v in enumerate(vertices)}
-    sizes = sorted({len(v) for v in vertices})
-    bases = {t: enumerate_injections(t, k) for t in sizes}
-    lookup = {t: {f.values: i for i, f in enumerate(bases[t])} for t in sizes}
-    dims = [len(bases[len(v)]) for v in vertices]
-    offs = []
-    total = 0
-    for d in dims:
-        offs.append(total)
-        total += d
-    columns = [dict() for _ in range(total)]
-    row_base = 0
-    for sv in vertices:
-        si = index[sv]
-        for x in range(m):
-            if x in sv:
-                continue
-            tv = tuple(sorted(sv + (x,)))
-            if tv not in index:
-                continue
-            ti = index[tv]
-            positions = tuple(tv.index(y) for y in sv)
-            # restriction(v at tv) - (v at sv) must vanish on the kernel
-            for col, f in enumerate(bases[len(tv)]):
-                restricted = tuple(f.values[p] for p in positions)
-                r_idx = lookup[len(sv)][restricted]
-                columns[offs[ti] + col][row_base + r_idx] = 1
-            for col in range(dims[si]):
-                columns[offs[si] + col][row_base + col] = -1
-            row_base += dims[si]
-    constraint = SparseMatrix(row_base, total, columns)
-    return total - rank(constraint)
+    bases = [enumerate_injections(size, k) for size in range(min(m, n) + 1)]
+    lookup = {f.values: i for basis in bases for i, f in enumerate(basis)}
+    covers = []
+    for t in vertices:
+        for p in range(len(t)):  # the subset t minus its p-th element
+            ext = SparseMatrix(len(bases[len(t)]), len(bases[len(t) - 1]))
+            for col, f in enumerate(bases[len(t)]):
+                ext.columns[lookup[f.values[:p] + f.values[p + 1 :]]][col] = 1
+            covers.append((index[t[:p] + t[p + 1 :]], index[t], ext))
+    return poset_colimit([len(bases[len(v)]) for v in vertices], covers).dimension

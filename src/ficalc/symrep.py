@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combinat import conjugacy_class_word
 from .exactla import CrossCheckError, SparseMatrix, VectorReducer
 
 Partition = tuple[int, ...]
@@ -105,6 +106,40 @@ class ClassFunction:
         return self.values[-1] if self.n > 0 else self.values[0]
 
 
+def action_character(n: int, dim: int, act) -> ClassFunction:
+    """Character of an S_n-action on a space of dimension ``dim``, where
+    ``act(g, v)`` applies the adjacent transposition s_g (g = 1..n-1) to the
+    sparse vector v.
+
+    The class words of ``conjugacy_class_word`` are prefix-closed, so they
+    form a tree rooted at the identity's empty word, each class one letter
+    below its parent.  Each basis vector walks that tree once, applying one
+    generator per class to its parent's image.  The image at a class is the
+    vector under its word read letter by letter, the inverse of the class's
+    representative and so in the same class.  The values are therefore the
+    character only when the generators satisfy the Coxeter relations;
+    otherwise they depend on the words.
+    """
+    words = [tuple(conjugacy_class_word(ct)) for ct in partitions_of(n)]
+    position = {word: i for i, word in enumerate(words)}
+    # (class, parent class, last letter), parents first
+    steps = [
+        (i, position[word[:-1]], word[-1])
+        for i, word in sorted(enumerate(words), key=lambda item: len(item[1]))
+        if word
+    ]
+    root = position[()]
+    values = [0] * len(words)
+    values[root] = dim
+    images: list[dict] = [{} for _ in words]
+    for b in range(dim):
+        images[root] = {b: 1}
+        for i, parent, g in steps:
+            images[i] = act(g, images[parent])
+            values[i] += images[i].get(b, 0)
+    return ClassFunction(n, tuple(values))
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     if f.n != g.n:
         raise ValueError("class functions live on different groups")
@@ -147,7 +182,6 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
         for i in range(len(shape)):
             if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
                 smaller = tuple(x for x in shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                trimmed = tuple(x for x in smaller if x)
                 for t in build(smaller, n - 1):
                     rows = [tuple(t[r]) if r < len(t) else () for r in range(len(shape))]
                     rows[i] = rows[i] + (n,)

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ficalc.cli import _DICTIONARY_MODULES, main
-from ficalc.combinat import Injection, standard_inclusion
+from ficalc.combinat import (
+    Injection,
+    conjugacy_class_word,
+    permutation_from_word,
+    standard_inclusion,
+)
 from ficalc.exactla import (
     ComplexInvalidError,
     Matrix,
@@ -40,7 +45,7 @@ from ficalc.fimod import (
 )
 from ficalc.fimod import coefficients
 from ficalc.fimod.coefficients import CoinvariantQuotient
-from ficalc.symrep import decompose_class_function, partitions_of
+from ficalc.symrep import ClassFunction, decompose_class_function, partitions_of
 
 
 def test_representable_coefficients_are_free_set_characters():
@@ -418,6 +423,110 @@ def test_witness_stage_is_memoized_per_module(build):
         if n + i in cubes:
             fresh = delta_coefficient_shift_check(build(WITNESS_WINDOW), n, i)
             assert delta_coefficient_shift_check(shared, n, i) == fresh
+
+
+def _per_class_character(stage, degree, start, size):
+    """The per-class route: for each class of S_size, the trace on homology,
+    through ``express``, of the action matrix of its representative moving the
+    cube coordinates start .. start+size-1."""
+    homology = stage.homology
+    values = []
+    for ct in partitions_of(size):
+        base = permutation_from_word(conjugacy_class_word(ct), size)
+        perm = (
+            tuple(range(start))
+            + tuple(start + v for v in base)
+            + tuple(range(start + size, stage.cube))
+        )
+        act = stage.action_matrix(perm, degree)
+        values.append(
+            sum(
+                homology.express(degree, act.apply(rep)).get(j, 0)
+                for j, rep in enumerate(homology.rep_vectors[degree])
+            )
+        )
+    return ClassFunction(size, tuple(values))
+
+
+def _assert_traces_match(module, first_stage):
+    for cube in range(4):
+        for k in range(first_stage, WITNESS_WINDOW - cube + 1):
+            stage = CubeStage(module, cube, k)
+            for degree, start in itertools.product(range(cube + 1), repeat=2):
+                for size in range(cube - start + 1):
+                    expected = _per_class_character(stage, degree, start, size)
+                    assert stage.homology_trace(degree, start, size) == expected, (
+                        cube, k, degree, start, size
+                    )
+                    decompose_class_function(expected)  # a character of S_size
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for _, _, build in _DICTIONARY_MODULES],
+    ids=[label for label, _, _ in _DICTIONARY_MODULES],
+)
+def test_homology_trace_matches_the_per_class_traces(build):
+    module = build(WITNESS_WINDOW)
+    _assert_traces_match(module, module.generation_bound)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [representable(2, WITNESS_WINDOW), free_module((2, 1), WITNESS_WINDOW)],
+    ids=["representable(2)", "free((2,1))"],
+)
+def test_homology_trace_matches_the_per_class_traces_in_positive_degrees(module):
+    # the module with every degree above 3 set to 0, a quotient by the
+    # submodule of those degrees: its cubes have homology in positive degrees
+    top = 3
+    dims = [d if k <= top else 0 for k, d in enumerate(module.dims)]
+    transpositions = [
+        gens if k <= top else [SparseMatrix(0, 0)] * (k - 1)
+        for k, gens in enumerate(module.transpositions)
+    ]
+    inclusions = [
+        inc if j < top else SparseMatrix(dims[j + 1], dims[j])
+        for j, inc in enumerate(module.inclusions)
+    ]
+    quotient = FIModule(
+        "truncated", module.max_degree, module.generation_bound, dims, transpositions, inclusions
+    )
+    assert validate(quotient).valid
+    assert any(CubeStage(quotient, 3, 1).homology.dims()[1:])
+    _assert_traces_match(quotient, 0)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [representable(1, 6), free_module((2, 1), 6)],
+    ids=["representable(1)", "free((2,1))"],
+)
+def test_cube_coordinate_permutations_are_chain_maps(module):
+    for cube in range(4):
+        for k in range(module.max_degree - cube + 1):
+            stage = CubeStage(module, cube, k)
+            for perm in itertools.permutations(range(cube)):
+                for i, d in enumerate(stage.complex.differentials):
+                    above = d.compose(stage.action_matrix(perm, i + 1))
+                    below = stage.action_matrix(perm, i).compose(d)
+                    assert above.columns == below.columns, (cube, k, perm, i)
+
+
+def test_taylor_coefficient_builds_one_action_matrix_per_generator(monkeypatch):
+    builds = []
+    action_matrix = CubeStage.action_matrix
+
+    def counted(self, perm, degree):
+        builds.append((perm, degree))
+        return action_matrix(self, perm, degree)
+
+    monkeypatch.setattr(CubeStage, "action_matrix", counted)
+    gc = taylor_coefficient(representable(3, 9), 3)
+    # the two adjacent transpositions of the 3-cube, in degree 0 alone: the
+    # only degree with homology (one matrix per class of S_3 would be three)
+    assert gc.dims == (6, 0, 0, 0)
+    assert builds == [((1, 0, 2), 0), ((0, 2, 1), 0)]
 
 
 def test_shift_check_reads_what_the_separate_coefficients_read():

@@ -17,6 +17,7 @@ from ficalc.symrep import (
     ClassFunction,
     NotACharacterError,
     StableRangeError,
+    action_character,
     character_table,
     check_partition,
     class_size,
@@ -317,6 +318,14 @@ def test_specht_traces_match_characters():
                     mat = mat.compose(generators[i - 1])
                 trace = sum(col.get(j, 0) for j, col in enumerate(mat.columns))
                 assert trace == irreducible_character(lam, ct)
+    # the class-tree walk over the generators reads the same characters
+    for n in range(7):
+        for lam in partitions_of(n):
+            generators = specht_matrices(lam)
+            chi = action_character(
+                n, specht_dimension(lam), lambda g, v: generators[g - 1].apply(v)
+            )
+            assert chi == irreducible_class_function(lam), lam
 
 
 def test_padding_and_weight():
