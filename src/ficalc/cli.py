@@ -42,6 +42,7 @@ from .fimod import (
     taylor_coefficient,
     validate,
 )
+from .fimod.io import _entry_count
 from .nervehom import (
     TheoremViolationError,
     certify_homology,
@@ -168,13 +169,6 @@ def _guard(args, **named) -> None:
                 f"--{name.replace('_', '-')} {value} exceeds the default guard {limit}; "
                 "pass --allow-large to override"
             )
-
-
-def _entry_count(dims) -> int:
-    """Matrix entries of a module document with these dims: k-1 transpositions
-    of size d_k x d_k in degree k and one d_{k+1} x d_k inclusion per step."""
-    squares = sum((k - 1) * d * d for k, d in enumerate(dims) if k > 1)
-    return squares + sum(a * b for a, b in zip(dims, dims[1:]))
 
 
 def _guard_entries(args, dims) -> None:

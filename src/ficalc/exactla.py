@@ -306,9 +306,7 @@ class VectorReducer:
         if touching:
             for q in list(touching):
                 row = self._rows[q]
-                coeff = row.get(p)
-                if not coeff:
-                    continue
+                coeff = row[p]
                 for i, x in v.items():
                     y = row.get(i, 0) - coeff * x
                     if y:

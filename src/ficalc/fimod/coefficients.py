@@ -34,8 +34,10 @@ its transitions at that stage) and every shift check share one witness.  Only
 witnesses are kept, not the stages scanned before them, and a cube that
 does not stabilize is scanned again on every call.
 Characters walk the class tree of ``action_character`` over the homology
-matrices of adjacent transpositions of cube coordinates, so a degree costs at
-most one ``action_matrix`` per generator and a degree without homology none.
+matrices of adjacent transpositions of cube coordinates, which each stage
+builds on first use and keeps (``CubeStage.homology_generator``), so a degree
+costs at most one ``action_matrix`` per generator and stage, and a degree
+without homology none.
 ``delta_coefficient_shift_check`` reads both of its characters, on the last
 and on the first cube coordinates, off the single witness stage of the
 (n+i)-cube.
@@ -48,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..combinat import Injection, permutation_from_word, standard_inclusion
+from ..combinat import Injection, permutation_from_word, permutation_sign, standard_inclusion
 from ..exactla import (
     ChainComplex,
     ComplexInvalidError,
@@ -176,18 +178,6 @@ def _insertion_sign(subset: tuple[int, ...], x: int) -> int:
     return -1 if below % 2 else 1
 
 
-def _complement_sign(perm: tuple[int, ...], subset: tuple[int, ...]) -> int:
-    """Sign of sorting the images of the complement of ``subset`` under perm."""
-    images = [perm[z] for z in range(len(perm)) if z not in subset]
-    inv = sum(
-        1
-        for a in range(len(images))
-        for b in range(a + 1, len(images))
-        if images[a] > images[b]
-    )
-    return -1 if inv % 2 else 1
-
-
 def _cube_complex(module: FIModule, cube: int, k: int, basis, project):
     """The stage-k cube complex: the summand at S spans ``basis(|S|)`` in
     E(|S| + k), and ``project(s, w)`` gives the coordinates of a vector w of
@@ -251,6 +241,7 @@ class CubeStage:
             raise ComplexInvalidError(exc.degree, msg) from None
         self.dims = self.complex.dims
         self.homology = RationalComplexHomology(self.complex)
+        self._generators: dict[tuple[int, int], SparseMatrix] = {}
 
     # -- symmetric-group action on the cube coordinates ------------------
     def action_matrix(self, perm: tuple[int, ...], degree: int) -> SparseMatrix:
@@ -262,7 +253,7 @@ class CubeStage:
             s = len(subset)
             q = self.quotients[s]
             image = tuple(sorted(perm[x] for x in subset))
-            sign = _complement_sign(perm, subset)
+            sign = permutation_sign([perm[z] for z in range(self.cube) if z not in subset])
             values = tuple(image.index(perm[subset[p]]) for p in range(s)) + tuple(
                 range(s, s + self.k)
             )
@@ -275,16 +266,22 @@ class CubeStage:
                 }
         return act
 
+    def homology_generator(self, i: int, degree: int) -> SparseMatrix:
+        """Homology matrix in ``degree`` of the adjacent transposition t_i of
+        the cube coordinates, built on first use and kept."""
+        if (i, degree) not in self._generators:
+            act = self.action_matrix(permutation_from_word([i], self.cube), degree)
+            self._generators[i, degree] = _homology_map(act, self, self, degree)
+        return self._generators[i, degree]
+
     def homology_trace(self, degree: int, start: int, size: int) -> ClassFunction:
         """Character of S_size permuting the cube coordinates start ..
         start+size-1 on degree-``degree`` homology: ``action_character`` over
-        the homology matrices of the size-1 adjacent transpositions, which are
-        built only when the degree has homology."""
+        the kept homology generators t_{start+1} .. t_{start+size-1}, which
+        are built only when the degree has homology."""
         dim = self.homology.dims()[degree]
-        generators = {}
-        for g in range(1, size) if dim else ():
-            perm = permutation_from_word([start + g], self.cube)
-            generators[g] = _homology_map(self.action_matrix(perm, degree), self, self, degree)
+        steps = range(1, size) if dim else ()
+        generators = {g: self.homology_generator(start + g, degree) for g in steps}
         return action_character(size, dim, lambda g, v: generators[g].apply(v))
 
     def transition_to(self, other: "CubeStage") -> SparseMatrix:

@@ -10,12 +10,11 @@ string.  Anything else is rejected with a message naming the offending field.
 Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
 an integral module stays in ``int`` arithmetic.  Loading visits only the
 nonzero entries once a whole entry list is known, from the set of its entry
-types, to hold nothing but ints and non-empty strings.  A saved file, and the
-text of ``dumps_module`` that ``fi-calc representable`` and ``fi-calc free``
-print, holds exactly the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` and a newline.  ``dumps_module`` writes each entry list
-from the matrix's sparse columns: the nonzero entries one by one and each run
-of zeros between them as one repeated string, never a dense list.
+types, to hold nothing but ints and non-empty strings.  ``dumps_module``, the
+text that ``save_module``, ``fi-calc representable`` and ``fi-calc free`` write,
+is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline:
+``json.dumps`` lays out the document with each matrix's index for its entries,
+and ``_entries_dumps`` writes each entry list from the sparse columns.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ _TOP_FIELDS = {
     "inclusions",
 }
 _MATRIX_FIELDS = {"rows", "cols", "entries"}
+# json escapes newlines in strings, so only the layout starts such a line
+_ENTRIES_LINE = re.compile(r'(\n *)"entries": ([0-9]+)')
 _ENTRY_TYPES = {int, str}
 
 
@@ -72,19 +73,21 @@ def _document(module: FIModule, matrix) -> dict:
     }
 
 
+def _entry_count(dims) -> int:
+    """Matrix entries of a document with these dims: (k-1) d_k^2 + d_k d_{k+1} per k."""
+    squares = sum((k - 1) * d * d for k, d in enumerate(dims) if k > 1)
+    return squares + sum(a * b for a, b in zip(dims, dims[1:]))
+
+
 def module_to_json(module: FIModule) -> dict:
     """The JSON-ready document for a module."""
     return _document(module, _matrix_out)
 
 
-def _sparse_out(m: SparseMatrix) -> dict:
-    """A matrix object whose entry list ``_dumps`` renders from ``m`` itself."""
-    return {"rows": m.rows, "cols": m.cols, "entries": m}
-
-
 def _entries_dumps(m: SparseMatrix, pad: str, out: list) -> None:
-    """Append the row-major entry list of ``m`` as ``_dumps`` lays out a list
-    at the depth of ``pad``, writing each run of zeros as one repeated string."""
+    """Append the row-major entry list of ``m`` as ``json.dumps(...,
+    indent=2)`` lays out a list at the depth of ``pad`` (a newline and the
+    indentation), writing each run of zeros as one repeated string."""
     n = m.rows * m.cols
     if not n:
         out.append("[]")
@@ -108,49 +111,26 @@ def _entries_dumps(m: SparseMatrix, pad: str, out: list) -> None:
     out.append(pad + "]")
 
 
-def _dumps(value, pad: str, out: list) -> None:
-    """Append to ``out`` the pieces of ``value`` laid out as ``json.dumps(value,
-    indent=2, sort_keys=True)`` lays it out at the depth of ``pad`` (a newline
-    and the indentation).
-
-    A ``SparseMatrix`` stands for its dense row-major entry list, which is
-    rendered from the nonzero entries alone.
-    """
-    if isinstance(value, SparseMatrix):
-        _entries_dumps(value, pad, out)
-        return
-    if isinstance(value, dict):
-        items = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [("", item) for item in value]
-        brackets = "[]"
-    else:
-        out.append(json.dumps(value))
-        return
-    if not items:
-        out.append(brackets)
-        return
-    inner = pad + "  "
-    sep = brackets[0] + inner
-    for key, item in items:
-        out.append(sep + key)
-        _dumps(item, inner, out)
-        sep = "," + inner
-    out.append(pad + brackets[1])
-
-
 def dumps_module(module: FIModule) -> str:
     """The module's document as text: ``json.dumps(module_to_json(module),
-    indent=2, sort_keys=True)`` and a newline.  An entry past the
-    interpreter's digit limit raises :class:`ModuleFormatError`, as loading
-    one does."""
-    out: list[str] = []
+    indent=2, sort_keys=True)`` and a newline.  An entry past the digit limit
+    raises :class:`ModuleFormatError`, as loading one does."""
+    matrices: list[SparseMatrix] = []
+
+    def indexed(m: SparseMatrix) -> dict:
+        matrices.append(m)
+        return {"rows": m.rows, "cols": m.cols, "entries": len(matrices) - 1}
+
+    text = json.dumps(_document(module, indexed), indent=2, sort_keys=True)
+    out, pos = [], 0
     try:
-        _dumps(_document(module, _sparse_out), "\n", out)
+        for line in _ENTRIES_LINE.finditer(text):
+            out.append(text[pos : line.start(2)])
+            _entries_dumps(matrices[int(line[2])], line[1], out)
+            pos = line.end()
     except ValueError as exc:  # past the interpreter's integer digit limit
         raise ModuleFormatError(f"entry too long to write: {exc}") from exc
-    out.append("\n")
+    out += (text[pos:], "\n")
     return "".join(out)
 
 

@@ -144,9 +144,9 @@ def test_entry_count_is_the_documents_matrix_entries(build, params, count):
     module = getattr(fimod, build)(*params)
     doc = fimod.module_to_json(module)
     matrices = [m for block in doc["transpositions"].values() for m in block] + doc["inclusions"]
-    assert cli._entry_count(module.dims) == sum(m["rows"] * m["cols"] for m in matrices)
+    assert fimod.io._entry_count(module.dims) == sum(m["rows"] * m["cols"] for m in matrices)
     if count is not None:
-        assert cli._entry_count(module.dims) == count <= cli.GUARD_ENTRIES
+        assert fimod.io._entry_count(module.dims) == count <= cli.GUARD_ENTRIES
 
 
 def test_entry_guard_counts_from_dims_and_yields_to_allow_large(capsys, monkeypatch):
@@ -421,7 +421,7 @@ def test_report_bytes_are_pinned(capsys, n_max, k_max, fmt):
 
 
 def test_report_builds_each_module_once_per_call(monkeypatch):
-    counts = {"representable": 0, "free_module": 0, "CubeStage": 0}
+    counts = {"representable": 0, "free_module": 0, "CubeStage": 0, "action_matrix": 0}
     for name in ("representable", "free_module"):
         def counted(*args, name=name, build=getattr(cli, name)):
             counts[name] += 1
@@ -434,12 +434,22 @@ def test_report_builds_each_module_once_per_call(monkeypatch):
             counts["CubeStage"] += 1
             super().__init__(*args)
 
+        def action_matrix(self, *args):
+            counts["action_matrix"] += 1
+            return super().action_matrix(*args)
+
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     assert full_report(3, 7)[2]
-    assert counts == {"representable": 13, "free_module": 5, "CubeStage": 108}
+    # each stage keeps its homology generators: 10 distinct (stage, generator,
+    # degree), where building them on every trace took 20
+    assert counts == {
+        "representable": 13, "free_module": 5, "CubeStage": 108, "action_matrix": 10
+    }
     # a second call starts cold: no module or stage outlives the first
     assert full_report(3, 7)[2]
-    assert counts == {"representable": 26, "free_module": 10, "CubeStage": 216}
+    assert counts == {
+        "representable": 26, "free_module": 10, "CubeStage": 216, "action_matrix": 20
+    }
 
 
 def test_crashing_cell_is_a_failing_cell(capsys, monkeypatch):

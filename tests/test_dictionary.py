@@ -15,9 +15,16 @@ from ficalc.fimod import (
     representation_stability_check,
     stable_decomposition,
     stage_character,
+    taylor_coefficient,
     zero_module,
 )
-from ficalc.symrep import StableRangeError, partitions_of, specht_dimension
+from ficalc.symrep import (
+    ClassFunction,
+    StableRangeError,
+    irreducible_class_function,
+    partitions_of,
+    specht_dimension,
+)
 
 
 def test_stage_character_of_rank_one_representable():
@@ -65,6 +72,24 @@ def test_free_module_stages_follow_the_pieri_rule():
             for k in range(size, 9):
                 expected = {mu: 1 for mu in partitions_of(k) if _horizontal_strip(mu, lam)}
                 assert stable_decomposition(E, k).nonzero() == expected, (lam, k)
+
+
+def test_free_module_coefficients_follow_the_branching_rule():
+    # C_n(M(lam)) is Q[Inj(n, m)] tensored over S_m with S^lam: the
+    # S_{m-n}-coinvariants of S^lam restricted to S_n x S_{m-n}, which hold
+    # S^mu once for each mu with lam / mu a horizontal strip, all in degree 0
+    for m in range(5):
+        for lam in partitions_of(m):
+            E = free_module(lam, 2 * m + 2)
+            for n in range(m + 1):
+                strips = [mu for mu in partitions_of(n) if _horizontal_strip(lam, mu)]
+                characters = [irreducible_class_function(mu) for mu in strips]
+                expected = ClassFunction(
+                    n, tuple(sum(chi(ct) for chi in characters) for ct in partitions_of(n))
+                )
+                gc = taylor_coefficient(E, n)
+                assert gc.dims == (expected.dimension,) + (0,) * n, (lam, n)
+                assert gc.characters[0] == expected, (lam, n)
 
 
 _TRACE_MODULES = (representable(2, 6), free_module((2, 1), 6), free_module((1, 1), 6))

@@ -201,10 +201,44 @@ def _fraction_module():
     return module_from_json(doc)
 
 
-def _quoted_name_module():
+def _named_module(name):
     doc = module_to_json(free_module((1,), 3))
-    doc["name"] = 'say "héllo" \\ ☃ \t'
+    doc["name"] = name
     return module_from_json(doc)
+
+
+# names that mimic the layout: the writer splits json.dumps's text at its
+# "entries" lines, and none of these may be taken for one
+_LAYOUT_NAMES = {
+    "quoted-name": 'say "héllo" \\ ☃ \t',
+    "name-entries-line": '\n  "entries": 0',
+    "name-entries-key": '"entries": 1',
+    "name-entries-overrun": '\n      "entries": 99,\n',
+    "name-backslashes": "back\\slash\\",
+    "name-nul": "nul\x00byte",
+    "name-non-ascii": "héllo ☃ \U0001d11e",
+}
+
+
+def rescaled(module, factor) -> FIModule:
+    """An isomorphic copy with basis vector 0 of every degree scaled by
+    ``factor``: each matrix becomes D^-1 M D with D = diag(factor, 1, ...)."""
+
+    def scale(r, c):
+        return Fraction(factor if c == 0 else 1, factor if r == 0 else 1)
+
+    def conjugate(m):
+        columns = [{r: x * scale(r, c) for r, x in col.items()} for c, col in enumerate(m.columns)]
+        return SparseMatrix(m.rows, m.cols, columns)
+
+    return FIModule(
+        module.name,
+        module.max_degree,
+        module.generation_bound,
+        module.dims,
+        [[conjugate(g) for g in gens] for gens in module.transpositions],
+        [conjugate(m) for m in module.inclusions],
+    )
 
 
 @pytest.mark.parametrize(
@@ -214,7 +248,8 @@ def _quoted_name_module():
         *(lambda k=k: zero_module(k) for k in (0, 1, 2)),
         lambda: free_module((2, 2), 9),
         _fraction_module,
-        _quoted_name_module,
+        lambda: rescaled(free_module((2, 1), 6), 2),
+        *(lambda name=name: _named_module(name) for name in _LAYOUT_NAMES.values()),
     ],
     ids=[
         "representable(0)-K0",
@@ -225,7 +260,8 @@ def _quoted_name_module():
         "zero-K2",
         "free(2,2)-K9",
         "fractions",
-        "quoted-name",
+        "rescaled",
+        *_LAYOUT_NAMES,
     ],
 )
 def test_saved_bytes_are_the_indented_sorted_dump(build, tmp_path):
@@ -233,6 +269,7 @@ def test_saved_bytes_are_the_indented_sorted_dump(build, tmp_path):
     path = tmp_path / "mod.json"
     save_module(module, path)
     assert path.read_bytes() == _pinned_bytes(module)
+    assert dumps_module(load_module(path)).encode() == path.read_bytes()
 
 
 def test_free_command_prints_the_saved_bytes(tmp_path, capsys):
