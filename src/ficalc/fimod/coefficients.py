@@ -7,9 +7,14 @@ the summand at S inserts each missing element x with sign
 (-1)^{#{y not in S : y < x}}, the contraction sign of x among the missing
 elements, so permuting the cube coordinates with the sign of sorting the
 permuted missing elements (``action_matrix``) is a chain map.  One
-assembler, ``_cube_complex``, lays out every such complex: ``CubeStage``
-passes the coinvariant quotients below, ``delta_complex`` the full summands,
-and ``is_polynomial`` reads the acyclicity of the full cubes.
+assembler, ``_cube_complex``, lays out every such complex over a quotient of
+each summand: ``CubeStage`` passes the coinvariant quotients below and
+``delta_complex`` the quotients by no tail generators, which are E(s + k)
+itself; ``is_polynomial`` reads the acyclicity of the full cubes.  One
+routine, ``_induced``, builds every quotient-level block (E(f) on the free
+basis vectors of one quotient, projected onto another): the differentials,
+the coordinate permutations and ``_stage_map``, the extension sum of an
+injection from a stage of one cube to a stage of another.
 
 Over the rationals, coinvariants by the tail symmetric group are exact,
 so the stage homology is computed on the quotient complex where each
@@ -24,10 +29,11 @@ orbits that close with an inconsistent factor (signs).
 
 Stabilization: stages are scanned from k = generation bound upward; a
 coefficient is declared stable when two consecutive stages have equal
-homology dimensions in every degree and the standard inclusion induces an
-isomorphism on degree-0 homology.  The later stage is the witness, and
-the scan (``_stable_stage``) returns it as a ``CubeStage``; a coefficient's
-dims and characters are then read off that one stage (``_coefficient``).
+homology dimensions in every degree and the stabilization, the extension
+sum of the identity from stage k to k + 1 (its one term is the standard
+inclusion n+k -> n+k+1), is an isomorphism on degree-0 homology.  The
+later stage is the witness, and the scan (``_stable_stage``) returns it as a
+``CubeStage``; a coefficient's dims and characters are read off that stage.
 The witness is memoized per module, next to its coinvariant quotients, so
 each module scans each cube once: ``taylor_coefficient``, the profile (and
 its transitions at that stage) and every shift check share one witness.  Only
@@ -178,22 +184,23 @@ def _insertion_sign(subset: tuple[int, ...], x: int) -> int:
     return -1 if below % 2 else 1
 
 
-def _cube_complex(module: FIModule, cube: int, k: int, basis, project):
-    """The stage-k cube complex: the summand at S spans ``basis(|S|)`` in
-    E(|S| + k), and ``project(s, w)`` gives the coordinates of a vector w of
-    E(s + k) on ``basis(s)``.  Returns the subsets of each degree, their
+def _induced(module: FIModule, f: Injection, src, tgt) -> list[dict]:
+    """The columns of E(f) from the quotient ``src`` of E(f.source_size) to
+    the quotient ``tgt`` of E(f.target_size): each free basis vector of
+    ``src`` mapped and projected.  Every quotient-level block is built here."""
+    return [tgt.project(module.apply_injection(f, {b: 1})) for b in src.free]
+
+
+def _cube_complex(module: FIModule, cube: int, k: int, quotient):
+    """The stage-k cube complex whose summand at S is ``quotient(|S|)``, a
+    quotient of E(|S| + k).  Returns the subsets of each degree, their
     offsets and the complex."""
     summands = [list(itertools.combinations(range(cube), cube - i)) for i in range(cube + 1)]
-    offsets = []
-    dims = []
+    offsets, dims = [], []
     for level in summands:
-        off = {}
-        total = 0
-        for subset in level:
-            off[subset] = total
-            total += len(basis(len(subset)))
-        offsets.append(off)
-        dims.append(total)
+        sizes = [quotient(len(subset)).dim for subset in level]
+        offsets.append(dict(zip(level, itertools.accumulate(sizes, initial=0))))
+        dims.append(sum(sizes))
     differentials = []
     for i in range(cube):
         columns = [{} for _ in range(dims[i + 1])]
@@ -202,13 +209,10 @@ def _cube_complex(module: FIModule, cube: int, k: int, basis, project):
             src_off = offsets[i + 1][subset]
             for x in (x for x in range(cube) if x not in subset):
                 sign = _insertion_sign(subset, x)
-                inj = _insertion(subset, x, k)
                 tgt_off = offsets[i][tuple(sorted(subset + (x,)))]
-                for local, b in enumerate(basis(s)):
-                    w = module.apply_injection(inj, {b: 1})
-                    columns[src_off + local].update(
-                        (tgt_off + r, sign * v) for r, v in project(s + 1, w).items()
-                    )
+                block = _induced(module, _insertion(subset, x, k), quotient(s), quotient(s + 1))
+                for local, col in enumerate(block):
+                    columns[src_off + local].update((tgt_off + r, sign * v) for r, v in col.items())
         differentials.append(SparseMatrix(dims[i], dims[i + 1], columns))
     return summands, offsets, ChainComplex(tuple(dims), differentials)
 
@@ -228,11 +232,7 @@ class CubeStage:
         self.k = k
         self.quotients = {s: _quotient(module, s, k) for s in range(cube + 1)}
         self.summands, self.offsets, self.complex = _cube_complex(
-            module,
-            cube,
-            k,
-            lambda s: self.quotients[s].free,
-            lambda s, w: self.quotients[s].project(w),
+            module, cube, k, lambda s: self.quotients[s]
         )
         try:
             self.complex.validate()
@@ -259,11 +259,9 @@ class CubeStage:
             )
             src_off = self.offsets[degree][subset]
             tgt_off = self.offsets[degree][image]
-            for local, b in enumerate(q.free):
-                w = self.module.apply_permutation(s + self.k, values, {b: 1})
-                act.columns[src_off + local] = {
-                    tgt_off + li: sign * v for li, v in q.project(w).items()
-                }
+            block = _induced(self.module, Injection(s + self.k, s + self.k, values), q, q)
+            for local, col in enumerate(block):
+                act.columns[src_off + local] = {tgt_off + li: sign * v for li, v in col.items()}
         return act
 
     def homology_generator(self, i: int, degree: int) -> SparseMatrix:
@@ -284,18 +282,6 @@ class CubeStage:
         generators = {g: self.homology_generator(start + g, degree) for g in steps}
         return action_character(size, dim, lambda g, v: generators[g].apply(v))
 
-    def transition_to(self, other: "CubeStage") -> SparseMatrix:
-        """Quotient-coordinate matrix of the standard inclusion on degree 0."""
-        if other.cube != self.cube or other.k != self.k + 1:
-            raise ValueError("transition target must be the next stage")
-        inc = standard_inclusion(self.cube + self.k, self.cube + self.k + 1)
-        src_q = self.quotients[self.cube]
-        tgt_q = other.quotients[self.cube]
-        columns = [
-            tgt_q.project(self.module.apply_injection(inc, {b: 1})) for b in src_q.free
-        ]
-        return SparseMatrix(tgt_q.dim, src_q.dim, columns)
-
 
 def _homology_map(
     t: SparseMatrix, src: CubeStage, tgt: CubeStage, degree: int = 0
@@ -306,6 +292,34 @@ def _homology_map(
         tgt.homology.express(degree, t.apply(rep)) for rep in src.homology.rep_vectors[degree]
     ]
     return SparseMatrix(tgt.homology.dims()[degree], len(columns), columns)
+
+
+def _stage_map(module: FIModule, f: Injection, src: CubeStage, tgt: CubeStage) -> SparseMatrix:
+    """Quotient-level matrix on degree 0 of the extension sum of f: n -> m
+    from stage k of the n-cube ``src`` to stage l >= k of the m-cube ``tgt``.
+
+    The sum runs over the injections j from the points of m missed by f into
+    the k-tail.  Its term is E(g) for the g: n+k -> m+l that is f on n, sends
+    the tail point j(x) back to x and every other tail point a to m + a.  The
+    stabilization from stage k to k + 1 is the sum of the identity: with no
+    missed points, its single term is the standard inclusion n+k -> n+k+1.
+    """
+    n, m, k = f.source_size, f.target_size, src.k
+    src_q, tgt_q = src.quotients[n], tgt.quotients[m]
+    missing = [x for x in range(m) if x not in f.image]
+    columns = [{} for _ in src_q.free]
+    for j_values in itertools.permutations(range(k), len(missing)):
+        pulled = {a: missing[t] for t, a in enumerate(j_values)}
+        g = Injection(n + k, m + tgt.k, f.values + tuple(pulled.get(a, m + a) for a in range(k)))
+        columns = [vec_add(c, b) for c, b in zip(columns, _induced(module, g, src_q, tgt_q))]
+    return SparseMatrix(tgt_q.dim, src_q.dim, columns)
+
+
+def _stabilization(stage: CubeStage, nxt: CubeStage) -> SparseMatrix:
+    """Homology matrix on degree 0 of the stabilization from ``stage`` to
+    the next stage ``nxt`` of the same cube: the extension sum of the identity."""
+    identity = standard_inclusion(stage.cube, stage.cube)
+    return _homology_map(_stage_map(stage.module, identity, stage, nxt), stage, nxt)
 
 
 @dataclass(frozen=True)
@@ -341,7 +355,7 @@ def _stable_stage(module: FIModule, cube: int) -> CubeStage:
         nxt = CubeStage(module, cube, stage.k + 1)
         dims = nxt.homology.dims()
         if stage.homology.dims() == dims and (
-            not dims[0] or rank(_homology_map(stage.transition_to(nxt), stage, nxt)) == dims[0]
+            not dims[0] or rank(_stabilization(stage, nxt)) == dims[0]
         ):
             module._coinv_cache[key] = nxt
             return nxt
@@ -375,6 +389,9 @@ def taylor_coefficient(module: FIModule, n: int) -> GradedCoefficient:
 def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
     """The i-th coefficient of the n-fold difference, acting on the last
     i cube coordinates only."""
+    for name, value in (("difference order n", n), ("coefficient index i", i)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     return _coefficient(_stable_stage(module, n + i), n, i)
 
 
@@ -395,9 +412,8 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
     ``CubeStage.homology_trace`` is a class function; it is not an
     independent check of the shift theorem, which would take the i-th
     coefficient of the n-fold difference module itself."""
-    stage = _stable_stage(module, n + i)
-    lhs = _coefficient(stage, n, i)
-    rhs = _coefficient(stage, 0, i)
+    lhs = shifted_coefficient(module, n, i)
+    rhs = _coefficient(_stable_stage(module, n + i), 0, i)
     return ShiftCheckResult(lhs, rhs.dims, rhs.characters, lhs.characters == rhs.characters)
 
 
@@ -412,38 +428,11 @@ def _stage(module: FIModule, cube: int, k: int) -> CubeStage:
     return witness if witness is not None and witness.k == k else CubeStage(module, cube, k)
 
 
-def _sum_over_extensions(
-    module: FIModule, f: Injection, k: int
-) -> tuple[CubeStage, CubeStage, SparseMatrix]:
-    """Quotient-level matrix of the extension-sum map at stage k.
-
-    For g = f + j over all injections j from the complement of the image of f
-    into the k-tail, the map sums E(f + j~) where j~ fixes the tail except for
-    pulling the hit points back.
-    """
-    n, m = f.source_size, f.target_size
-    src = _stage(module, n, k)
-    tgt = _stage(module, m, k)
-    src_q = src.quotients[n]
-    tgt_q = tgt.quotients[m]
-    missing = [x for x in range(m) if x not in f.image]
-    ext = SparseMatrix(tgt_q.dim, src_q.dim)
-    for j_values in itertools.permutations(range(k), len(missing)):
-        lookup = {a: missing[t] for t, a in enumerate(j_values)}
-        values = tuple(f.values) + tuple(
-            lookup.get(a, m + a) for a in range(k)
-        )
-        big = Injection(n + k, m + k, values)
-        for local, b in enumerate(src_q.free):
-            w = module.apply_injection(big, {b: 1})
-            ext.columns[local] = vec_add(ext.columns[local], tgt_q.project(w))
-    return src, tgt, ext
-
-
 def _transition_at_stage(module: FIModule, f: Injection, k: int):
     """Homology-basis matrix of the extension-sum map at one stage, with the
     boundary-preservation check."""
-    src, tgt, t = _sum_over_extensions(module, f, k)
+    src, tgt = _stage(module, f.source_size, k), _stage(module, f.target_size, k)
+    t = _stage_map(module, f, src, tgt)
     for col in src.complex.differentials[0].columns if src.cube else ():
         if tgt.homology.express(0, t.apply(col)):
             raise InstabilityError(
@@ -465,8 +454,8 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatr
     src, tgt, mat = _transition_at_stage(module, f, k)
     if f.target_size + k + 1 <= module.max_degree:
         src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
-        s_src = _homology_map(src.transition_to(src_next), src, src_next)
-        s_tgt = _homology_map(tgt.transition_to(tgt_next), tgt, tgt_next)
+        s_src = _stabilization(src, src_next)
+        s_tgt = _stabilization(tgt, tgt_next)
         if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
             raise InstabilityError(
                 "transition matrices at consecutive stages disagree under the "
@@ -514,10 +503,11 @@ def coefficient_profile(module: FIModule, max_index: int | None = None) -> Coeff
 
 
 def delta_complex(module: FIModule, n: int, k: int) -> ChainComplex:
-    """The full (non-coinvariant) stage-k cube complex, assembled from the
-    structure maps applied to basis vectors."""
+    """The full (non-coinvariant) stage-k cube complex.  It is the cube
+    over the quotients of E(s + k) by no tail generators: every coordinate
+    is free and ``project`` is the identity."""
     if n < 0 or k < 0:
         raise ValueError("cube size and stage must be non-negative")
     if n + k > module.max_degree:
         raise WindowError(f"degree {n + k} outside window {module.max_degree}")
-    return _cube_complex(module, n, k, lambda s: range(module.dims[s + k]), lambda s, w: w)[2]
+    return _cube_complex(module, n, k, lambda s: _quotient(module, s + k, 0))[2]

@@ -367,17 +367,18 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
         z * v.numerator * (den // v.denominator) for z, v in zip(_class_sizes(f.n), f.values)
     ]
     order = den * math.factorial(f.n)
+    table = character_table(f.n)
     mults: dict[Partition, int] = {}
-    for lam, row in zip(partitions_of(f.n), character_table(f.n)):
+    for lam, row in zip(partitions_of(f.n), table):
         m = Fraction(sum(w * chi for w, chi in zip(weighted, row)), order)
         if m.denominator != 1 or m < 0:
             raise NotACharacterError(
                 f"multiplicity of {lam} is {m}, not a non-negative integer"
             )
         mults[lam] = int(m)
-    # reconstruction identity
+    # reconstruction identity, over the rows of the same table (``mults`` is in row order)
     for idx, ct in enumerate(partitions_of(f.n)):
-        total = sum(m * irreducible_character(lam, ct) for lam, m in mults.items() if m)
+        total = sum(m * row[idx] for m, row in zip(mults.values(), table) if m)
         if total != f.values[idx]:
             raise CrossCheckError(
                 f"decomposition failed to reconstruct the input at class {ct}"

@@ -46,6 +46,7 @@ from ficalc.fimod import (
 from ficalc.fimod import coefficients
 from ficalc.fimod.coefficients import CoinvariantQuotient
 from ficalc.symrep import ClassFunction, decompose_class_function, partitions_of
+from test_module_io import rescaled
 
 
 def test_representable_coefficients_are_free_set_characters():
@@ -310,6 +311,45 @@ def test_transition_consistent_across_stages():
     )
 
 
+def _inclusion_oracle(stage, nxt):
+    """The standard inclusion n+k -> n+k+1 applied to each free basis vector
+    of the top quotient of ``stage``, projected onto the top quotient of
+    ``nxt``."""
+    inc = standard_inclusion(stage.cube + stage.k, stage.cube + stage.k + 1)
+    src_q, tgt_q = stage.quotients[stage.cube], nxt.quotients[stage.cube]
+    columns = [tgt_q.project(stage.module.apply_injection(inc, {b: 1})) for b in src_q.free]
+    return SparseMatrix(tgt_q.dim, src_q.dim, columns)
+
+
+_STAGE_MAP_MODULES = [
+    *((label, lambda build=build: build(WITNESS_WINDOW)) for label, _, build in _DICTIONARY_MODULES),
+    ("rescaled free((2,1))", lambda: rescaled(free_module((2, 1), WITNESS_WINDOW), 2)),
+    # relabelled first, so that a rescaled coordinate is hit: a "1/2" entry
+    (
+        "rescaled relabelled free((2,1))",
+        lambda: rescaled(relabel(free_module((2, 1), WITNESS_WINDOW), 2), 2),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for _, build in _STAGE_MAP_MODULES],
+    ids=[label for label, _ in _STAGE_MAP_MODULES],
+)
+def test_stabilization_is_the_extension_sum_of_the_identity(build):
+    module = build()
+    for cube in range(4):
+        identity = Injection(cube, cube, tuple(range(cube)))
+        stages = [CubeStage(module, cube, k) for k in range(module.max_degree - cube + 1)]
+        for stage, nxt in zip(stages, stages[1:]):
+            got = coefficients._stage_map(module, identity, stage, nxt)
+            want = _inclusion_oracle(stage, nxt)
+            assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns), (
+                cube, stage.k
+            )
+
+
 def test_profile_of_rank_two_representable():
     prof = coefficient_profile(representable(2, 6))
     assert prof.max_index == 2
@@ -541,12 +581,79 @@ def test_shifted_coefficient_beyond_the_window():
         shifted_coefficient(representable(2, 3), 2, 1)
 
 
+def test_shifted_coefficient_and_shift_check_name_a_negative_argument():
+    module = representable(2, 8)
+    for n, i, name in ((-1, 1, "n"), (-1, 2, "n"), (2, -1, "i"), (1, -1, "i")):
+        for compute in (shifted_coefficient, delta_coefficient_shift_check):
+            with pytest.raises(ValueError, match=f" {name} must be non-negative, got -1"):
+                compute(module, n, i)
+
+
 def test_dense_cube_complex_shape_and_homology():
     F1 = representable(1, 6)
     c = delta_complex(F1, 1, 3)
     # one-cube at stage 3: E(4) -> E(3)
     assert c.dims == (4, 3)
     assert homology(c).betti == (1, 0)
+
+
+def _coordinate_cube(module, n, k) -> list[SparseMatrix]:
+    """The differentials of the full stage-k cube on the coordinates of each
+    summand E(|S| + k), the subsets of a degree in lexicographic order: the
+    block from S to S + {x} is (-1)^{#{y not in S : y < x}} times E of the
+    injection S + tail -> S + {x} + tail that keeps the order of S and of the
+    tail."""
+    levels = [list(itertools.combinations(range(n), n - i)) for i in range(n + 1)]
+    offsets, dims = [], []
+    for level in levels:
+        offsets.append({})
+        dims.append(0)
+        for subset in level:
+            offsets[-1][subset] = dims[-1]
+            dims[-1] += module.dims[len(subset) + k]
+    differentials = []
+    for i in range(n):
+        d = SparseMatrix(dims[i], dims[i + 1])
+        for subset in levels[i + 1]:
+            for x in sorted(set(range(n)) - set(subset)):
+                bigger = tuple(sorted(subset + (x,)))
+                tail = tuple(range(len(bigger), len(bigger) + k))
+                f = Injection(len(subset) + k, len(bigger) + k, tuple(map(bigger.index, subset)) + tail)
+                sign = (-1) ** sum(1 for y in range(x) if y not in subset)
+                for b in range(module.dims[len(subset) + k]):
+                    for r, v in module.apply_injection(f, {b: 1}).items():
+                        d.columns[offsets[i + 1][subset] + b][offsets[i][bigger] + r] = sign * v
+        differentials.append(d)
+    return differentials
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        *(representable(m, 6) for m in range(3)),
+        free_module((2, 1), 6),
+        rescaled(free_module((2, 1), 6), 2),
+        rescaled(relabel(free_module((2, 1), 6), 2), 2),  # with "1/2" entries
+    ],
+    ids=[
+        "representable(0)",
+        "representable(1)",
+        "representable(2)",
+        "free((2,1))",
+        "rescaled",
+        "rescaled relabelled",
+    ],
+)
+def test_full_cube_is_the_coordinate_cube(module):
+    """The full cube, assembled over quotients with no tail generators, has
+    the differentials of the cube assembled on plain coordinates."""
+    for n in range(4):
+        for k in range(module.max_degree - n + 1):
+            complex_ = delta_complex(module, n, k)
+            want = _coordinate_cube(module, n, k)
+            assert len(complex_.differentials) == len(want) == n
+            for got, d in zip(complex_.differentials, want):
+                assert (got.rows, got.cols, got.columns) == (d.rows, d.cols, d.columns), (n, k)
 
 
 def _tail_trace(module, n, k, solver, tau, degree):

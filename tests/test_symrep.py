@@ -431,8 +431,10 @@ def test_hook_formula_mismatch_raises(monkeypatch):
 
 
 def test_decomposition_reconstruction_mismatch_raises(monkeypatch):
+    # a zero table passes the multiplicity check (every multiplicity is 0)
+    # and reconstructs 0, not the input
     f = irreducible_class_function((2, 1))
-    monkeypatch.setattr(symrep, "irreducible_character", lambda lam, ct: 0)
+    monkeypatch.setattr(symrep, "character_table", lambda n: ((0,) * 3,) * 3)
     with pytest.raises(CrossCheckError, match="reconstruct"):
         decompose_class_function(f)
 
