@@ -145,6 +145,10 @@ class CoinvariantQuotient:
         self.free = tuple(c for c in range(d) if rep[c] == c and c not in pivots)
         self.index = {c: i for i, c in enumerate(self.free)}
         self.dim = len(self.free)
+        if self.dim == d:
+            # No relations: every orbit is a singleton with factor 1 and the
+            # index is the identity, so ``project`` copies its input.
+            self.project = dict
 
     def _rewrite(self, vec: dict) -> dict:
         """vec with each e_x replaced by f_x.e_r, r the representative of x."""

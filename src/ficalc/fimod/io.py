@@ -8,13 +8,28 @@ with row-major entries, each either an integer or a lowest-terms ``"p/q"``
 string.  Anything else is rejected with a message naming the offending field.
 
 Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
-an integral module stays in ``int`` arithmetic.  Loading visits only the
-nonzero entries once a whole entry list is known, from the set of its entry
-types, to hold nothing but ints and non-empty strings.  ``dumps_module``, the
-text that ``save_module``, ``fi-calc representable`` and ``fi-calc free`` write,
-is exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline:
+an integral module stays in ``int`` arithmetic.  ``dumps_module``, the text
+that ``save_module``, ``fi-calc representable`` and ``fi-calc free`` write, is
+exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline:
 ``json.dumps`` lays out the document with each matrix's index for its entries,
 and ``_entries_dumps`` writes each entry list from the sparse columns.
+
+``load_module`` has two routes.  The written route reads text in that layout
+without parsing the dense lists: it finds each entry list with ``str.find``,
+reads only its nonzero entries (a nonzero entry starts with one of
+``-"123456789`` after its indentation, and its index is the number of commas
+before it), and hands the document with these scanned lists to the unchanged
+``module_from_json``.  It keeps the module only if ``dumps_module`` gives back
+exactly the text read, compared piece by piece so that the second text is
+never held whole.  That makes it sound: the text is then
+``json.dumps(module_to_json(module), indent=2, sort_keys=True)`` and a
+newline, so ``json.loads`` would have read the same document and the strict
+route the same module.  Any other text, and any failure of the written route,
+goes to the strict route, ``json.loads`` and ``module_from_json``, which alone
+raises errors, so a malformed file gets the same message on either path.
+Outside the written route, loading a dense list still visits only its nonzero
+entries once the set of its entry types shows nothing but ints and non-empty
+strings.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from ..exactla import SparseMatrix
 from .core import FIModule, ModuleFormatError
@@ -42,6 +58,12 @@ _MATRIX_FIELDS = {"rows", "cols", "entries"}
 # json escapes newlines in strings, so only the layout starts such a line
 _ENTRIES_LINE = re.compile(r'(\n *)"entries": ([0-9]+)')
 _ENTRY_TYPES = {int, str}
+# the opening of the written document and of each of its entry lists
+_WRITTEN_START = '{\n  "dims": ['
+_ENTRIES_OPEN = '"entries": ['
+# a nonzero written entry: its first character, and the whole entry
+_NONZERO_STARTS = '-"123456789'
+_NONZERO = re.compile(r'(-?[1-9][0-9]*)|"([^"\n]*)"')
 
 
 def _entry_out(value: int | Fraction):
@@ -84,13 +106,13 @@ def module_to_json(module: FIModule) -> dict:
     return _document(module, _matrix_out)
 
 
-def _entries_dumps(m: SparseMatrix, pad: str, out: list) -> None:
-    """Append the row-major entry list of ``m`` as ``json.dumps(...,
-    indent=2)`` lays out a list at the depth of ``pad`` (a newline and the
-    indentation), writing each run of zeros as one repeated string."""
+def _entries_dumps(m: SparseMatrix, pad: str) -> Iterator[str]:
+    """The row-major entry list of ``m`` as ``json.dumps(..., indent=2)``
+    lays out a list at the depth of ``pad`` (a newline and the indentation),
+    in pieces, each run of zeros one repeated string."""
     n = m.rows * m.cols
     if not n:
-        out.append("[]")
+        yield "[]"
         return
     inner = pad + "  "
     sep = "," + inner
@@ -98,23 +120,23 @@ def _entries_dumps(m: SparseMatrix, pad: str, out: list) -> None:
     nonzero = sorted(
         (r * m.cols + c, v) for c, column in enumerate(m.columns) for r, v in column.items()
     )
-    out.append("[" + inner)
+    yield "[" + inner
     pos = 0
     for idx, v in nonzero:
         v = _entry_out(v)
-        out += (zero * (idx - pos), str(v) if type(v) is int else f'"{v}"', sep)
+        yield zero * (idx - pos)
+        yield str(v) if type(v) is int else f'"{v}"'
         pos = idx + 1
+        if pos < n:
+            yield sep
     if pos < n:
-        out += (zero * (n - 1 - pos), "0")
-    else:
-        out.pop()  # the separator after the last entry
-    out.append(pad + "]")
+        yield zero * (n - 1 - pos) + "0"
+    yield pad + "]"
 
 
-def dumps_module(module: FIModule) -> str:
-    """The module's document as text: ``json.dumps(module_to_json(module),
-    indent=2, sort_keys=True)`` and a newline.  An entry past the digit limit
-    raises :class:`ModuleFormatError`, as loading one does."""
+def _written(module: FIModule) -> Iterator[str]:
+    """The text of :func:`dumps_module` in pieces, so that it can be compared
+    without being held whole."""
     matrices: list[SparseMatrix] = []
 
     def indexed(m: SparseMatrix) -> dict:
@@ -122,16 +144,23 @@ def dumps_module(module: FIModule) -> str:
         return {"rows": m.rows, "cols": m.cols, "entries": len(matrices) - 1}
 
     text = json.dumps(_document(module, indexed), indent=2, sort_keys=True)
-    out, pos = [], 0
+    pos = 0
     try:
         for line in _ENTRIES_LINE.finditer(text):
-            out.append(text[pos : line.start(2)])
-            _entries_dumps(matrices[int(line[2])], line[1], out)
+            yield text[pos : line.start(2)]
+            yield from _entries_dumps(matrices[int(line[2])], line[1])
             pos = line.end()
     except ValueError as exc:  # past the interpreter's integer digit limit
         raise ModuleFormatError(f"entry too long to write: {exc}") from exc
-    out += (text[pos:], "\n")
-    return "".join(out)
+    yield text[pos:]
+    yield "\n"
+
+
+def dumps_module(module: FIModule) -> str:
+    """The module's document as text: ``json.dumps(module_to_json(module),
+    indent=2, sort_keys=True)`` and a newline.  An entry past the digit limit
+    raises :class:`ModuleFormatError`, as loading one does."""
+    return "".join(_written(module))
 
 
 def save_module(module: FIModule, path) -> None:
@@ -172,6 +201,81 @@ def _entry_in(value, where: str) -> int | Fraction:
     raise ModuleFormatError(f"{where}: entry {value!r} has unsupported type")
 
 
+class _Scanned:
+    """An entry list read off the written layout: its length and the
+    ``(index, value)`` pairs of its nonzero entries.  JSON never produces
+    one, so only ``load_module``'s written route hands it to ``_matrix_in``."""
+
+    __slots__ = ("count", "pairs")
+
+    def __init__(self, count: int, pairs: list):
+        self.count = count
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _scan_entries(text: str, start: int, end: int) -> _Scanned:
+    """The entry list of ``text[start:end]``, the inside of its brackets as
+    ``_entries_dumps`` lays it out: one entry per line after its indentation,
+    so each nonzero entry starts with a space and one of ``_NONZERO_STARTS``,
+    and its index is the number of commas before it."""
+    starts = []
+    for ch in _NONZERO_STARTS:
+        p = text.find(ch, start, end)
+        while p >= 0:
+            if text[p - 1] == " ":
+                starts.append(p)
+            p = text.find(ch, p + 1, end)
+    starts.sort()
+    pairs, idx, last = [], 0, start
+    for p in starts:
+        idx += text.count(",", last, p)
+        last = p
+        token = _NONZERO.match(text, p, end)
+        if token is None:
+            raise ModuleFormatError("not in the written layout")
+        value = int(token[1]) if token[1] else _entry_in(token[2], "entries")
+        pairs.append((idx, value))
+    return _Scanned(text.count(",", start, end) + 1 if end > start else 0, pairs)
+
+
+def _load_written(text: str) -> FIModule | None:
+    """The module of ``text`` if ``text`` is exactly what ``dumps_module``
+    writes for it, else None; never raises on malformed text."""
+    if not text.startswith(_WRITTEN_START):
+        return None
+    scanned: list[_Scanned] = []
+    pieces, pos = [], 0
+
+    def hook(obj: dict) -> dict:
+        i = obj.get("entries")
+        if type(i) is int and 0 <= i < len(scanned):
+            obj["entries"] = scanned[i]
+        return obj
+
+    try:
+        while (start := text.find(_ENTRIES_OPEN, pos)) >= 0:
+            start += len(_ENTRIES_OPEN)
+            end = text.find("]", start)
+            if end < 0:
+                return None
+            scanned.append(_scan_entries(text, start, end))
+            pieces += (text[pos : start - 1], str(len(scanned) - 1))
+            pos = end + 1
+        pieces.append(text[pos:])
+        module = module_from_json(json.loads("".join(pieces), object_hook=hook))
+        pos = 0
+        for piece in _written(module):  # dumps_module(module) == text
+            if not text.startswith(piece, pos):
+                return None
+            pos += len(piece)
+        return module if pos == len(text) else None
+    except (ValueError, RecursionError):  # int(), json, ModuleFormatError
+        return None
+
+
 def _matrix_in(doc, where: str) -> SparseMatrix:
     if not isinstance(doc, dict):
         raise ModuleFormatError(f"{where}: matrix must be an object")
@@ -184,18 +288,21 @@ def _matrix_in(doc, where: str) -> SparseMatrix:
     rows = _expect_natural(doc["rows"], f"{where}.rows")
     cols = _expect_natural(doc["cols"], f"{where}.cols")
     entries = doc["entries"]
-    if not isinstance(entries, list) or len(entries) != rows * cols:
+    if not isinstance(entries, (list, _Scanned)) or len(entries) != rows * cols:
         raise ModuleFormatError(
             f"{where}: need a list of exactly rows*cols = {rows * cols} entries"
         )
     mat = SparseMatrix(rows, cols)
-    indices = range(len(entries))
-    types = set(map(type, entries))
-    if types <= _ENTRY_TYPES and (str not in types or "" not in entries):
-        # Every falsy entry is then the valid int 0: read only the others.
-        indices = compress(indices, entries)
-    for idx in indices:
-        v = _entry_in(entries[idx], f"{where}.entries[{idx}]")
+    if isinstance(entries, _Scanned):
+        pairs = entries.pairs
+    else:
+        indices = range(len(entries))
+        types = set(map(type, entries))
+        if types <= _ENTRY_TYPES and (str not in types or "" not in entries):
+            # Every falsy entry is then the valid int 0: read only the others.
+            indices = compress(indices, entries)
+        pairs = ((idx, _entry_in(entries[idx], f"{where}.entries[{idx}]")) for idx in indices)
+    for idx, v in pairs:
         if v:
             r, c = divmod(idx, cols)
             mat.columns[c][r] = v
@@ -263,12 +370,18 @@ def load_module(path) -> FIModule:
     """Read a module document from ``path``.
 
     Missing files surface as the usual ``OSError``; malformed content raises
-    :class:`ModuleFormatError`.
+    :class:`ModuleFormatError`.  Text in the written layout takes the written
+    route; everything else, and every error, the strict route.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ModuleFormatError(f"not UTF-8: {exc}") from exc
+    module = _load_written(text)
+    if module is not None:
+        return module
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModuleFormatError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # past the interpreter's integer digit limit

@@ -6,14 +6,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ficalc
+import ficalc.fimod.io as module_io
 from ficalc.cli import main
 from ficalc.exactla import SparseMatrix
 from ficalc.fimod import (
@@ -381,3 +385,107 @@ def test_module_files_do_not_use_the_locale_encoding(tmp_path):
         done = subprocess.run(python + argv, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
     assert again.read_bytes() == path.read_bytes()
+
+
+def _strict_load(path):
+    """``load_module`` with the written route turned off: json.loads and
+    module_from_json alone."""
+    with mock.patch.object(module_io, "_load_written", lambda text: None):
+        return load_module(path)
+
+
+def _outcome(load, path):
+    """The document of the loaded module, or the type and message raised."""
+    try:
+        return module_to_json(load(path))
+    except Exception as exc:  # compared between the two routes
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda n=n: representable(n, 5) for n in (0, 1, 2, 3)),
+        lambda: free_module((2, 1), 6),
+        lambda: free_module((1, 1, 1), 5),
+        lambda: rescaled(free_module((2, 1), 8), 2),
+        lambda: representable(0, 0),
+        lambda: representable(1, 1),
+        lambda: representable(0, 1),
+        *(lambda k=k: zero_module(k) for k in (0, 1, 3)),
+    ],
+    ids=[
+        *(f"representable({n})-K5" for n in (0, 1, 2, 3)),
+        "free(2,1)-K6",
+        "free(1,1,1)-K5",
+        "rescaled-free(2,1)-K8",
+        "representable(0)-K0",
+        "representable(1)-K1",
+        "representable(0)-K1",
+        "zero-K0",
+        "zero-K1",
+        "zero-K3",
+    ],
+)
+def test_saved_files_take_the_written_route_to_the_strict_module(build, tmp_path):
+    path = tmp_path / "mod.json"
+    save_module(build(), path)
+    text = path.read_text(encoding="utf-8")
+    assert module_io._load_written(text) is not None
+    loaded = load_module(path)
+    assert dumps_module(loaded) == text
+    assert module_to_json(loaded) == module_to_json(_strict_load(path))
+
+
+_TOKEN_LINE = re.compile(r"^ *(-?[0-9]+|\"[^\"]*\"),?$", re.M)
+_SCALAR_KEY_LINE = re.compile(r'^ *"[a-z_]+": [^\[{\n]*$', re.M)
+_REPLACEMENTS = ["0", "1", "-1", '"1/2"', '"2/4"', "true", "1.0", "007"]
+_WRITTEN = dumps_module(representable(2, 4))
+
+
+def _edit_once(data, text: str) -> str:
+    kind = data.draw(st.sampled_from(["token", "add-space", "drop-space", "duplicate-key"]))
+    if kind == "token":
+        token = data.draw(st.sampled_from(list(_TOKEN_LINE.finditer(text))))
+        return text[: token.start(1)] + data.draw(st.sampled_from(_REPLACEMENTS)) + text[token.end(1) :]
+    if kind == "add-space":
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + data.draw(st.sampled_from([" ", "\n", "\t"])) + text[at:]
+    if kind == "drop-space":
+        at = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch in " \n"]))
+        return text[:at] + text[at + 1 :]
+    line = data.draw(st.sampled_from(list(_SCALAR_KEY_LINE.finditer(text))))
+    return text[: line.start()] + line[0].rstrip(",") + ",\n" + text[line.start() :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_an_edited_saved_file_loads_as_the_strict_route_reads_it(data):
+    # Either the edit leaves the written layout, and the strict route runs,
+    # or the written route accepts text that re-serializes to itself.
+    text = _edit_once(data, _WRITTEN)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mod.json"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_module, path) == _outcome(_strict_load, path)
+
+
+def test_loading_a_saved_module_never_parses_the_whole_text(tmp_path, monkeypatch):
+    module = free_module((2, 1), 6)
+    path = tmp_path / "mod.json"
+    save_module(module, path)
+    text = path.read_text(encoding="utf-8")
+    lengths = []
+
+    def loads(s, **kwargs):
+        lengths.append(len(s))
+        return json.loads(s, **kwargs)
+
+    monkeypatch.setattr(
+        module_io,
+        "json",
+        SimpleNamespace(loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError),
+    )
+    loaded = load_module(path)
+    assert dumps_module(loaded) == text
+    assert lengths and max(lengths) < len(text) // 10
