@@ -223,6 +223,21 @@ class SparseMatrix:
                     del out[i]
         return out
 
+    def apply_columns(self, vecs: Sequence[SparseVec]) -> list[SparseVec]:
+        """``[self.apply(v) for v in vecs]``, except that a single-entry
+        vector with coefficient 1 maps to the matrix's own column, shared
+        rather than copied: the results are for reading only."""
+        columns = self.columns
+        out = []
+        for vec in vecs:
+            if len(vec) == 1:
+                ((j, c),) = vec.items()
+                col = columns[j]
+                out.append(col if c == 1 else {i: c * x for i, x in col.items()})
+            else:
+                out.append(self.apply(vec))
+        return out
+
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other."""
         if self.cols != other.rows:

@@ -38,7 +38,8 @@ The witness is memoized per module, next to its coinvariant quotients, so
 each module scans each cube once: ``taylor_coefficient``, the profile (and
 its transitions at that stage) and every shift check share one witness.  Only
 witnesses are kept, not the stages scanned before them, and a cube that
-does not stabilize is scanned again on every call.
+does not stabilize is scanned again on every call.  Within one profile, the
+stages of cube n that one transition builds serve the next transition too.
 Characters walk the class tree of ``action_character`` over the homology
 matrices of adjacent transpositions of cube coordinates, which each stage
 builds on first use and keeps (``CubeStage.homology_generator``), so a degree
@@ -190,9 +191,10 @@ def _insertion_sign(subset: tuple[int, ...], x: int) -> int:
 
 def _induced(module: FIModule, f: Injection, src, tgt) -> list[dict]:
     """The columns of E(f) from the quotient ``src`` of E(f.source_size) to
-    the quotient ``tgt`` of E(f.target_size): each free basis vector of
-    ``src`` mapped and projected.  Every quotient-level block is built here."""
-    return [tgt.project(module.apply_injection(f, {b: 1})) for b in src.free]
+    the quotient ``tgt`` of E(f.target_size): the free basis vectors of
+    ``src`` mapped together, each image projected into a vector of its own.
+    Every quotient-level block is built here."""
+    return [tgt.project(v) for v in module.apply_injection(f, [{b: 1} for b in src.free])]
 
 
 def _cube_complex(module: FIModule, cube: int, k: int, quotient):
@@ -279,12 +281,14 @@ class CubeStage:
     def homology_trace(self, degree: int, start: int, size: int) -> ClassFunction:
         """Character of S_size permuting the cube coordinates start ..
         start+size-1 on degree-``degree`` homology: ``action_character`` over
-        the kept homology generators t_{start+1} .. t_{start+size-1}, which
-        are built only when the degree has homology."""
+        the kept homology generators t_{start+1} .. t_{start+size-1}, each
+        applied to a whole image list at once by ``apply_columns``, whose
+        images may share the generators' columns and are only read.  The
+        generators are built only when the degree has homology."""
         dim = self.homology.dims()[degree]
         steps = range(1, size) if dim else ()
         generators = {g: self.homology_generator(start + g, degree) for g in steps}
-        return action_character(size, dim, lambda g, v: generators[g].apply(v))
+        return action_character(size, dim, lambda g, vecs: generators[g].apply_columns(vecs))
 
 
 def _homology_map(
@@ -426,16 +430,21 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
 # ---------------------------------------------------------------------------
 
 
-def _stage(module: FIModule, cube: int, k: int) -> CubeStage:
-    """Stage k of the cube: the memoized witness when it is that stage, else a new one."""
+def _stage(module: FIModule, cube: int, k: int, kept: dict) -> CubeStage:
+    """Stage k of the cube: the memoized witness when it is that stage, else
+    the one in ``kept`` under (cube, k), built and put there on first use."""
     witness = module._coinv_cache.get(("witness", cube))
-    return witness if witness is not None and witness.k == k else CubeStage(module, cube, k)
+    if witness is not None and witness.k == k:
+        return witness
+    if (cube, k) not in kept:
+        kept[cube, k] = CubeStage(module, cube, k)
+    return kept[cube, k]
 
 
-def _transition_at_stage(module: FIModule, f: Injection, k: int):
+def _transition_at_stage(module: FIModule, f: Injection, k: int, kept: dict):
     """Homology-basis matrix of the extension-sum map at one stage, with the
     boundary-preservation check."""
-    src, tgt = _stage(module, f.source_size, k), _stage(module, f.target_size, k)
+    src, tgt = _stage(module, f.source_size, k, kept), _stage(module, f.target_size, k, kept)
     t = _stage_map(module, f, src, tgt)
     for col in src.complex.differentials[0].columns if src.cube else ():
         if tgt.homology.express(0, t.apply(col)):
@@ -445,7 +454,9 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int):
     return src, tgt, _homology_map(t, src, tgt)
 
 
-def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatrix:
+def coefficient_transition(
+    module: FIModule, f: Injection, k: int, kept: dict | None = None
+) -> SparseMatrix:
     """Matrix of the induced map on degree-0 stable homology, in the
     homology bases of the stage-k cubes at source and target size.
 
@@ -454,10 +465,15 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatr
     window allows forming stage k+1) the matrices at k and k+1 must agree
     under the stabilization transition maps.  Either failure raises
     InstabilityError.
+
+    A caller may pass a dict as ``kept``: the stages built are put in it,
+    keyed by (cube, stage), and read from it when already there, so the
+    transitions of one profile share the stages they have in common.
     """
-    src, tgt, mat = _transition_at_stage(module, f, k)
+    kept = {} if kept is None else kept
+    src, tgt, mat = _transition_at_stage(module, f, k, kept)
     if f.target_size + k + 1 <= module.max_degree:
-        src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
+        src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1, kept)
         s_src = _stabilization(src, src_next)
         s_tgt = _stabilization(tgt, tgt_next)
         if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
@@ -494,10 +510,12 @@ def coefficient_profile(module: FIModule, max_index: int | None = None) -> Coeff
         raise ValueError(f"coefficient index bound must be non-negative, got {max_index}")
     coefficients = tuple(taylor_coefficient(module, n) for n in range(max_index + 1))
     transitions = []
+    kept: dict = {}
     for n in range(max_index):
         k = max(coefficients[n].witness, coefficients[n + 1].witness)
-        inc = standard_inclusion(n, n + 1)
-        transitions.append(coefficient_transition(module, inc, k))
+        # of the stages the last transition built, only those of cube n can serve again
+        kept = {key: stage for key, stage in kept.items() if key[0] == n}
+        transitions.append(coefficient_transition(module, standard_inclusion(n, n + 1), k, kept))
     return CoefficientProfile(module.name, coefficients, tuple(transitions))
 
 

@@ -7,7 +7,8 @@ standard inclusion k -> k+1.  Every structure map E(f) is recovered by
 factoring f as (permutation) after (standard inclusion chain).
 
 Matrices are kept column-sparse; the constructors produce permutation-like
-columns, and all downstream pipelines only ever apply them to sparse vectors.
+columns, and all downstream pipelines only ever apply them to lists of sparse
+vectors, one generator matrix at a time over the whole list.
 """
 
 from __future__ import annotations
@@ -113,19 +114,23 @@ class FIModule:
             self._word_cache[perm] = w
         return w
 
-    def apply_permutation(self, k: int, perm: tuple[int, ...], vec: dict) -> dict:
-        """Apply E(perm) at degree k to a sparse vector."""
+    def apply_permutation(self, k: int, perm: tuple[int, ...], vecs: list[dict]) -> list[dict]:
+        """Apply E(perm) at degree k to a list of sparse vectors, one
+        generator matrix at a time over all of them.  The images may share
+        the module's columns (``SparseMatrix.apply_columns``), and the
+        identity returns ``vecs`` itself: read them, do not write them."""
         self._check_degree(k)
         if len(perm) != k:
             raise ValueError("permutation degree mismatch")
         gens = self.transpositions[k]
         # E(s_{w1}) ... E(s_{wm}) applied right factor first
         for i in reversed(self._word(perm)):
-            vec = gens[i - 1].apply(vec)
-        return vec
+            vecs = gens[i - 1].apply_columns(vecs)
+        return vecs
 
-    def apply_injection(self, f: Injection, vec: dict) -> dict:
-        """Apply E(f) to a sparse vector of degree f.source_size."""
+    def apply_injection(self, f: Injection, vecs: list[dict]) -> list[dict]:
+        """Apply E(f) to a list of sparse vectors of degree f.source_size.
+        As for ``apply_permutation``, the images are for reading only."""
         self._check_degree(f.source_size)
         self._check_degree(f.target_size)
         sigma = self._factor_cache.get(f)
@@ -133,13 +138,13 @@ class FIModule:
             sigma = factor_injection(f)[0].values
             self._factor_cache[f] = sigma
         for j in range(f.source_size, f.target_size):
-            vec = self.inclusions[j].apply(vec)
-        return self.apply_permutation(f.target_size, sigma, vec)
+            vecs = self.inclusions[j].apply_columns(vecs)
+        return self.apply_permutation(f.target_size, sigma, vecs)
 
 
 def evaluate(module: FIModule, f: Injection) -> SparseMatrix:
-    """The matrix of E(f)."""
-    columns = [module.apply_injection(f, {b: 1}) for b in range(module.dim(f.source_size))]
+    """The matrix of E(f), with columns of its own."""
+    columns = module.apply_injection(f, [{b: 1} for b in range(module.dim(f.source_size))])
     return SparseMatrix(module.dim(f.target_size), len(columns), columns)
 
 

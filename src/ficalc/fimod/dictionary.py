@@ -37,13 +37,14 @@ class DictionaryInapplicableError(ValueError):
 
 def stage_character(module: FIModule, k: int) -> ClassFunction:
     """Character of the S_k-action on the degree-k stage of the module:
-    ``action_character`` walking each basis vector down the class tree, one
-    ``apply_permutation`` of an adjacent transposition per class.  The values
-    are the character only when the generator matrices satisfy the Coxeter
-    relations (``validate``)."""
+    ``action_character`` walking the whole basis down the class tree, one
+    ``apply_permutation`` of an adjacent transposition to one image list per
+    class.  Those images may share the module's columns and are only read.
+    The values are the character only when the generator matrices satisfy
+    the Coxeter relations (``validate``)."""
     swaps = {g: permutation_from_word([g], k) for g in range(1, k)}
     return action_character(
-        k, module.dim(k), lambda g, v: module.apply_permutation(k, swaps[g], v)
+        k, module.dim(k), lambda g, vecs: module.apply_permutation(k, swaps[g], vecs)
     )
 
 

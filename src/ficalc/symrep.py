@@ -108,36 +108,37 @@ class ClassFunction:
 
 def action_character(n: int, dim: int, act) -> ClassFunction:
     """Character of an S_n-action on a space of dimension ``dim``, where
-    ``act(g, v)`` applies the adjacent transposition s_g (g = 1..n-1) to the
-    sparse vector v.
+    ``act(g, vecs)`` applies the adjacent transposition s_g (g = 1..n-1) to
+    each sparse vector of the list ``vecs`` and returns the list of images,
+    which it may share with its own data: they are only read.
 
     The class words of ``conjugacy_class_word`` are prefix-closed, so they
     form a tree rooted at the identity's empty word, each class one letter
-    below its parent.  Each basis vector walks that tree once, applying one
-    generator per class to its parent's image.  The image at a class is the
-    vector under its word read letter by letter, the inverse of the class's
-    representative and so in the same class.  The values are therefore the
-    character only when the generators satisfy the Coxeter relations;
-    otherwise they depend on the words.
+    below its parent.  The walk goes down that tree depth first with one
+    image list per class, the whole basis under the class's word: one
+    ``act`` of the class's last letter on its parent's list.  So at most
+    depth + 1 lists are alive, and each class's value is the trace read off
+    its own list.  The image at a class is the basis under its word read
+    letter by letter, the inverse of the class's representative and so in
+    the same class.  The values are therefore the character only when the
+    generators satisfy the Coxeter relations; otherwise they are the traces
+    of those words' products, s_{w_m} ... s_{w_1} for the word w_1 ... w_m.
     """
     words = [tuple(conjugacy_class_word(ct)) for ct in partitions_of(n)]
-    position = {word: i for i, word in enumerate(words)}
-    # (class, parent class, last letter), parents first
-    steps = [
-        (i, position[word[:-1]], word[-1])
-        for i, word in sorted(enumerate(words), key=lambda item: len(item[1]))
-        if word
-    ]
-    root = position[()]
-    values = [0] * len(words)
-    values[root] = dim
-    images: list[dict] = [{} for _ in words]
-    for b in range(dim):
-        images[root] = {b: 1}
-        for i, parent, g in steps:
-            images[i] = act(g, images[parent])
-            values[i] += images[i].get(b, 0)
-    return ClassFunction(n, tuple(values))
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for word in words:
+        if word:
+            children.setdefault(word[:-1], []).append(word)
+    traces = dict.fromkeys(words, 0)
+
+    def walk(word, images):
+        traces[word] = sum(image.get(b, 0) for b, image in enumerate(images))
+        for child in children.get(word, ()):
+            walk(child, act(child[-1], images))
+
+    if dim:  # an empty space has the zero character and calls no ``act``
+        walk((), [{b: 1} for b in range(dim)])
+    return ClassFunction(n, tuple(traces[word] for word in words))
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:

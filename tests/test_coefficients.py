@@ -317,7 +317,7 @@ def _inclusion_oracle(stage, nxt):
     ``nxt``."""
     inc = standard_inclusion(stage.cube + stage.k, stage.cube + stage.k + 1)
     src_q, tgt_q = stage.quotients[stage.cube], nxt.quotients[stage.cube]
-    columns = [tgt_q.project(stage.module.apply_injection(inc, {b: 1})) for b in src_q.free]
+    columns = [tgt_q.project(stage.module.apply_injection(inc, [{b: 1}])[0]) for b in src_q.free]
     return SparseMatrix(tgt_q.dim, src_q.dim, columns)
 
 
@@ -395,9 +395,9 @@ def test_shift_check_builds_each_stage_once(monkeypatch):
 @pytest.mark.parametrize(
     "build,stages",
     [
-        (lambda: representable(4, 9), 16),
-        (lambda: representable(3, 9), 14),
-        (lambda: free_module((2, 1), 8), 14),
+        (lambda: representable(4, 9), 14),
+        (lambda: representable(3, 9), 12),
+        (lambda: free_module((2, 1), 8), 12),
     ],
     ids=["representable(4,9)", "representable(3,9)", "free((2,1),8)"],
 )
@@ -411,7 +411,8 @@ def test_profile_transitions_reuse_the_witness_stage(monkeypatch, build, stages)
 
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     coefficient_profile(build())
-    assert len(builds) == stages
+    # consecutive transitions share the stages of their common cube
+    assert len(builds) == len(set(builds)) == stages
 
 
 def test_stage_that_is_not_a_complex_raises(tmp_path, capsys):
@@ -621,7 +622,7 @@ def _coordinate_cube(module, n, k) -> list[SparseMatrix]:
                 f = Injection(len(subset) + k, len(bigger) + k, tuple(map(bigger.index, subset)) + tail)
                 sign = (-1) ** sum(1 for y in range(x) if y not in subset)
                 for b in range(module.dims[len(subset) + k]):
-                    for r, v in module.apply_injection(f, {b: 1}).items():
+                    for r, v in module.apply_injection(f, [{b: 1}])[0].items():
                         d.columns[offsets[i + 1][subset] + b][offsets[i][bigger] + r] = sign * v
         differentials.append(d)
     return differentials
@@ -668,7 +669,7 @@ def _tail_trace(module, n, k, solver, tau, degree):
         image = {}
         for off in range(0, solver.complex.dims[degree], d):
             block = {c - off: v for c, v in rep.items() if off <= c < off + d}
-            w = module.apply_permutation(s + k, perm, block)
+            (w,) = module.apply_permutation(s + k, perm, [block])
             image.update((off + r, x) for r, x in w.items())
         trace += solver.express(degree, image).get(j, 0)
     return trace

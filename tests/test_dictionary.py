@@ -101,7 +101,7 @@ def test_stage_character_is_the_trace_of_a_random_permutation(data):
     E = data.draw(st.sampled_from(_TRACE_MODULES))
     k = data.draw(st.integers(min_value=0, max_value=E.max_degree))
     sigma = tuple(data.draw(st.permutations(range(k))))
-    trace = sum(E.apply_permutation(k, sigma, {b: 1}).get(b, 0) for b in range(E.dims[k]))
+    trace = sum(E.apply_permutation(k, sigma, [{b: 1}])[0].get(b, 0) for b in range(E.dims[k]))
     assert stage_character(E, k)(cycle_type(sigma)) == trace
 
 
@@ -109,16 +109,18 @@ def test_stage_character_applies_one_transposition_per_class(monkeypatch):
     calls = []
     apply = FIModule.apply_permutation
 
-    def counted(self, k, perm, vec):
-        calls.append(perm)
-        return apply(self, k, perm, vec)
+    def counted(self, k, perm, vecs):
+        calls.append((perm, len(vecs)))
+        return apply(self, k, perm, vecs)
 
     monkeypatch.setattr(FIModule, "apply_permutation", counted)
     E = representable(2, 7)
     stage_character(E, 7)
-    # 42 basis vectors, one step for each of the p(7) - 1 = 14 non-identity classes
-    assert len(calls) == 42 * (len(partitions_of(7)) - 1) == 588
-    assert all(sum(p != i for i, p in enumerate(perm)) == 2 for perm in calls)
+    # one call for each of the p(7) - 1 = 14 non-identity classes, each on
+    # all 42 basis vectors: 588 vector applications
+    assert len(calls) == len(partitions_of(7)) - 1 == 14
+    assert sum(n for _, n in calls) == 42 * 14 == 588
+    assert all(n == 42 and sum(p != i for i, p in enumerate(perm)) == 2 for perm, n in calls)
 
 
 def test_stable_decomposition_examples():

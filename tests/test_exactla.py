@@ -132,6 +132,36 @@ def test_sparse_compose_matches_dense():
     assert SparseMatrix.identity(2).compose(sa).to_matrix() == a
 
 
+_ENTRIES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def matrices_and_vector_lists(draw):
+    """A sparse rows x cols matrix with int and Fraction entries, and a list
+    of vectors on its columns: empty ones, unit ones, single entries with
+    other coefficients and several entries."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    columns = [draw(st.dictionaries(st.integers(0, rows - 1), _ENTRIES)) for _ in range(cols)]
+    vecs = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), _ENTRIES), max_size=8))
+    return SparseMatrix(rows, cols, columns), vecs
+
+
+@given(matrices_and_vector_lists())
+@settings(max_examples=150)
+def test_apply_columns_is_apply_on_each_vector(drawn):
+    m, vecs = drawn
+    before = [dict(c) for c in m.columns]
+    images = m.apply_columns(vecs)
+    assert images == [m.apply(v) for v in vecs]
+    for vec, image in zip(vecs, images):
+        # a unit vector's image is the column itself, any other a new dict
+        if len(vec) == 1 and next(iter(vec.values())) == 1:
+            assert image is m.columns[next(iter(vec))]
+        else:
+            assert all(image is not c for c in m.columns)
+    assert m.columns == before
+
+
 def test_vec_add():
     assert vec_add({0: 1, 1: 2}, {1: -2, 2: 3}) == {0: 1, 2: 3}
     assert vec_add({}, {0: Fraction(1, 3)}, c=3) == {0: 1}

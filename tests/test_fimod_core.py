@@ -1,5 +1,6 @@
 """The windowed module type: constructors, evaluation, validation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,13 +13,17 @@ from ficalc.exactla import Matrix, SparseMatrix
 from ficalc.fimod import (
     FIModule,
     WindowError,
+    coefficient_profile,
+    dumps_module,
     evaluate,
     free_module,
     representable,
+    stage_character,
     validate,
     zero_module,
 )
 from ficalc.symrep import specht_dimension
+from test_module_io import rescaled
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +88,7 @@ def test_representable_action_is_postcomposition(f2):
     perm = (1, 2, 0)
     sigma = Injection(3, 3, perm)
     for idx, f in enumerate(basis):
-        image = f2.apply_permutation(3, perm, {idx: Fraction(1)})
+        (image,) = f2.apply_permutation(3, perm, [{idx: Fraction(1)}])
         assert image == {basis.index(compose(sigma, f)): Fraction(1)}
 
 
@@ -142,6 +147,36 @@ def test_injectivity_of_structure_maps():
         for k in range(module.max_degree):
             mat = evaluate(module, Injection(k, k + 1, tuple(range(k))))
             assert rank(mat) == module.dim(k)
+
+
+@pytest.mark.parametrize(
+    "build, max_index",
+    [
+        (lambda: representable(3, 6), 2),
+        (lambda: free_module((2, 1), 6), 2),
+        # "p/q" entries, so images of unit vectors are not all shared columns
+        (lambda: rescaled(free_module((2, 1), 8), 2), 3),
+    ],
+    ids=["representable(3)", "free((2,1))", "rescaled free((2,1))"],
+)
+def test_shared_columns_stay_read_only(build, max_index):
+    """Structure maps hand out the module's own columns as images of unit
+    vectors; no pipeline writes them, and ``evaluate`` copies them."""
+    module = build()
+    text = dumps_module(module)
+    for k in range(module.max_degree + 1):
+        stage_character(module, k)
+    coefficient_profile(module, max_index)
+    matrices = (*itertools.chain(*module.transpositions), *module.inclusions)
+    own = {id(col) for m in matrices for col in m.columns}
+    for k in range(module.max_degree):
+        for values in (tuple(range(k)), tuple(range(1, k + 1))):
+            columns = evaluate(module, Injection(k, k + 1, values)).columns
+            assert all(id(col) not in own for col in columns)
+    for k in range(2, module.max_degree + 1):
+        cycle = Injection(k, k, tuple(range(1, k)) + (0,))
+        assert all(id(col) not in own for col in evaluate(module, cycle).columns)
+    assert dumps_module(module) == text
 
 
 def test_validate_passes_on_constructors():

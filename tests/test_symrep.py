@@ -323,9 +323,59 @@ def test_specht_traces_match_characters():
         for lam in partitions_of(n):
             generators = specht_matrices(lam)
             chi = action_character(
-                n, specht_dimension(lam), lambda g, v: generators[g - 1].apply(v)
+                n, specht_dimension(lam), lambda g, vecs: generators[g - 1].apply_columns(vecs)
             )
             assert chi == irreducible_class_function(lam), lam
+
+
+def _word_traces(n, generators):
+    """Per class, the trace of the product s_{w_m} ... s_{w_1} of its word
+    w_1 ... w_m, built with ``compose`` from the identity."""
+    dim = generators[0].rows if generators else 0
+    traces = []
+    for ct in partitions_of(n):
+        mat = SparseMatrix.identity(dim)
+        for g in conjugacy_class_word(ct):
+            mat = generators[g - 1].compose(mat)
+        traces.append(sum(col.get(j, 0) for j, col in enumerate(mat.columns)))
+    return traces
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_action_character_off_a_representation_is_the_trace_of_each_word(data):
+    """Random rational generators break the Coxeter relations, and the class
+    tree walk then reads the trace of each class word's product."""
+    n = data.draw(st.integers(2, 5))
+    dim = data.draw(st.integers(1, 4))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    generators = [
+        SparseMatrix(dim, dim, [{r: data.draw(entries) for r in range(dim)} for _ in range(dim)])
+        for _ in range(n - 1)
+    ]
+    chi = action_character(n, dim, lambda g, vecs: generators[g - 1].apply_columns(vecs))
+    assert chi.values == tuple(_word_traces(n, generators))
+
+
+def test_action_character_of_a_non_representation_fails_to_decompose():
+    # s_1 = [[1, 1], [0, 0]] is not an involution, and its trace 1 on a plane
+    # gives the trivial character multiplicity 3/2
+    generators = [SparseMatrix(2, 2, [{0: 1}, {0: 1}])]
+    chi = action_character(2, 2, lambda g, vecs: generators[g - 1].apply_columns(vecs))
+    assert chi.values == (1, 2) == tuple(_word_traces(2, generators))
+    with pytest.raises(NotACharacterError):
+        decompose_class_function(chi)
+
+
+def test_action_character_on_trivial_groups_and_spaces():
+    def never(g, vecs):
+        raise AssertionError("no generator to apply")
+
+    assert action_character(0, 3, never) == ClassFunction(0, (3,))
+    assert action_character(1, 2, never) == ClassFunction(1, (2,))
+    for n in range(5):
+        # the zero space: every value 0, and ``act`` is never called
+        assert action_character(n, 0, never).values == (0,) * len(partitions_of(n))
 
 
 def test_padding_and_weight():
