@@ -25,24 +25,25 @@ from .exactla import ComplexInvalidError, CrossCheckError, Matrix, invariant_fac
 from .exactla import smith_normal_form
 from .fimod import (
     DictionaryInapplicableError,
+    FIModule,
     InstabilityError,
     ModuleFormatError,
     NotStabilizedError,
     coefficient_profile,
     delta_coefficient_shift_check,
     dictionary_prediction,
-    dumps_module,
     free_module,
     is_polynomial,
     load_module,
     q_truncation,
     representable,
     representation_stability_check,
+    save_module,
     stable_decomposition,
     taylor_coefficient,
     validate,
 )
-from .fimod.io import _entry_count
+from .fimod.io import _entry_count, write_module
 from .nervehom import (
     TheoremViolationError,
     certify_homology,
@@ -142,8 +143,6 @@ def _render_csv(tables: list) -> str:
 
 
 def _render(fmt: str, doc, heading: str, tables: list) -> str:
-    if isinstance(doc, str):  # a module document, already laid out
-        return doc
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "markdown":
@@ -151,9 +150,17 @@ def _render(fmt: str, doc, heading: str, tables: list) -> str:
     return _render_csv(tables)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
+def _emit(args, doc, heading: str, tables: list) -> None:
+    output = getattr(args, "output", None)
+    if isinstance(doc, FIModule):  # a module document, written piece by piece
+        if output:
+            save_module(doc, output)
+        else:
+            write_module(doc, sys.stdout)
+        return
+    text = _render(args.format, doc, heading, tables)
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -199,7 +206,7 @@ def _decomposition_payload(decomposition):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (doc, heading, tables, exit_code); the module
-# generators return their document as finished text (``dumps_module``)
+# generators return the module itself, which ``_emit`` writes as its document
 # ---------------------------------------------------------------------------
 
 
@@ -231,7 +238,7 @@ def _cmd_validate(args):
 def _module_document(args, module):
     if args.format != "json":
         raise UsageError("module generation emits the JSON interchange format only")
-    return dumps_module(module), module.name, [], 0
+    return module, module.name, [], 0
 
 
 def _cmd_representable(args):
@@ -833,7 +840,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, heading, tables, code = args.handler(args)
-        _emit(args, _render(args.format, doc, heading, tables))
+        _emit(args, doc, heading, tables)
         return code
     except (*_DOMAIN_ERRORS, OSError, ValueError) as exc:
         print(f"fi-calc {args.command}: {exc}", file=sys.stderr)

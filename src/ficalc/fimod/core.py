@@ -264,25 +264,23 @@ def validate(module: FIModule) -> ValidationReport:
 
     for k in range(k_max + 1):
         gens = module.transpositions[k]
-        d = module.dims[k]
+        units = [{b: 1} for b in range(module.dims[k])]
         for i in range(1, k):
             g = gens[i - 1]
-            for b, column in enumerate(g.columns):
-                if g.apply(column) != {b: 1}:
-                    violations.append(f"degree {k}: Coxeter involution fails for generator {i}")
-                    break
+            if g.apply_columns(g.columns) != units:
+                violations.append(f"degree {k}: Coxeter involution fails for generator {i}")
         for i in range(1, k - 1):
             a, bgen = gens[i - 1], gens[i]
-            for b in range(d):
-                if a.apply(bgen.apply(a.columns[b])) != bgen.apply(a.apply(bgen.columns[b])):
-                    violations.append(
-                        f"degree {k}: Coxeter braid relation fails at generators ({i}, {i+1})"
-                    )
-                    break
+            if a.apply_columns(bgen.apply_columns(a.columns)) != bgen.apply_columns(
+                a.apply_columns(bgen.columns)
+            ):
+                violations.append(
+                    f"degree {k}: Coxeter braid relation fails at generators ({i}, {i+1})"
+                )
         for i in range(1, k):
             for j in range(i + 2, k):
                 a, c = gens[i - 1], gens[j - 1]
-                if any(a.apply(c.columns[b]) != c.apply(a.columns[b]) for b in range(d)):
+                if a.apply_columns(c.columns) != c.apply_columns(a.columns):
                     violations.append(
                         f"degree {k}: Coxeter commutation fails at generators ({i}, {j})"
                     )
@@ -291,21 +289,12 @@ def validate(module: FIModule) -> ValidationReport:
         inc = module.inclusions[k]
         for i in range(1, k):
             low, high = module.transpositions[k][i - 1], module.transpositions[k + 1][i - 1]
-            for b in range(module.dims[k]):
-                if inc.apply(low.columns[b]) != high.apply(inc.columns[b]):
-                    violations.append(
-                        f"inclusion {k}->{k+1}: equivariance fails for generator {i}"
-                    )
-                    break
+            if inc.apply_columns(low.columns) != high.apply_columns(inc.columns):
+                violations.append(f"inclusion {k}->{k+1}: equivariance fails for generator {i}")
 
     for m in range(k_max - 1):
-        swap = module.transpositions[m + 2][m]
-        for column in module.inclusions[m].columns:
-            image = module.inclusions[m + 1].apply(column)
-            if swap.apply(image) != image:
-                violations.append(
-                    f"degree {m + 2}: generator {m + 1} moves the image of degree {m}"
-                )
-                break
+        images = module.inclusions[m + 1].apply_columns(module.inclusions[m].columns)
+        if module.transpositions[m + 2][m].apply_columns(images) != images:
+            violations.append(f"degree {m + 2}: generator {m + 1} moves the image of degree {m}")
 
     return ValidationReport(valid=not violations, violations=violations)

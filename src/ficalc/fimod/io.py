@@ -12,29 +12,40 @@ an integral module stays in ``int`` arithmetic.  ``dumps_module``, the text
 that ``save_module``, ``fi-calc representable`` and ``fi-calc free`` write, is
 exactly ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline:
 ``json.dumps`` lays out the document with each matrix's index for its entries,
-and ``_entries_dumps`` writes each entry list from the sparse columns.
+and ``_entries_dumps`` writes each entry list from the sparse columns, a run
+of zeros as one pair ``(unit, count)``.  ``_text`` turns these pieces into
+strings of bounded length, a long run ``_RUN_SLICE`` units at a time, and
+``write_module`` writes them straight to a handle: the text is never held
+whole.  ``save_module`` writes to a sibling temporary file that then
+replaces the target, so a failed save leaves an existing file untouched.
 
-``load_module`` has two routes.  The written route reads text in that layout
-without parsing the dense lists: it finds each entry list with ``str.find``,
-reads only its nonzero entries (a nonzero entry starts with one of
-``-"123456789`` after its indentation, and its index is the number of commas
-before it), and hands the document with these scanned lists to the unchanged
-``module_from_json``.  It keeps the module only if ``dumps_module`` gives back
-exactly the text read, compared piece by piece so that the second text is
-never held whole.  That makes it sound: the text is then
-``json.dumps(module_to_json(module), indent=2, sort_keys=True)`` and a
-newline, so ``json.loads`` would have read the same document and the strict
-route the same module.  Any other text, and any failure of the written route,
-goes to the strict route, ``json.loads`` and ``module_from_json``, which alone
-raises errors, so a malformed file gets the same message on either path.
-Outside the written route, loading a dense list still visits only its nonzero
-entries once the set of its entry types shows nothing but ints and non-empty
-strings.
+``load_module`` reads the file's bytes once and has two routes.  The written
+route takes bytes that are ASCII (``json.dumps`` escapes every other
+character, so every written file is) and start as written text does.  It
+reads them in that layout without parsing the dense lists and without
+decoding them: it finds each entry list with ``bytes.find``, reads only its
+nonzero entries (a nonzero entry starts with one of ``-"123456789`` after its
+indentation, and its index is the number of commas before it), and hands the
+decoded document around these scanned lists to the unchanged
+``module_from_json``.  It keeps the module only if ``dumps_module`` gives
+back exactly the bytes read, compared in the writer's strings of bounded
+length, so that no second copy of the text is held.  That makes it sound: the
+bytes are then ``json.dumps(module_to_json(module), indent=2,
+sort_keys=True)`` and a newline, so ``json.loads`` would have read the same
+document and the strict route the same module.  Any other bytes, and any
+failure of the written route, go to the strict route: the bytes decoded as
+UTF-8 with universal newlines, as a file read in text mode gives them, then
+``json.loads`` and ``module_from_json``, which alone raise errors, so a
+malformed file gets the same message on either path.  Outside the written
+route, loading a dense list still visits only its nonzero entries once the
+set of its entry types shows nothing but ints and non-empty strings.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from fractions import Fraction
 from itertools import compress
@@ -59,11 +70,19 @@ _MATRIX_FIELDS = {"rows", "cols", "entries"}
 _ENTRIES_LINE = re.compile(r'(\n *)"entries": ([0-9]+)')
 _ENTRY_TYPES = {int, str}
 # the opening of the written document and of each of its entry lists
-_WRITTEN_START = '{\n  "dims": ['
-_ENTRIES_OPEN = '"entries": ['
-# a nonzero written entry: its first character, and the whole entry
-_NONZERO_STARTS = '-"123456789'
-_NONZERO = re.compile(r'(-?[1-9][0-9]*)|"([^"\n]*)"')
+_WRITTEN_START = b'{\n  "dims": ['
+_ENTRIES_OPEN = b'"entries": ['
+# a nonzero written entry: its first byte, and the whole entry
+_NONZERO_STARTS = b'-"123456789'
+_NONZERO_ENTRY = re.compile(rb'(-?[1-9][0-9]*)|"([^"\n]*)"')
+_SPACE = ord(" ")
+# the writer's strings: short pieces joined up to about _CHUNK characters,
+# and long zero runs written _RUN_SLICE copies of a zero's text at a time;
+# a saved file gathers _SAVE_BUFFER bytes per system call (the default
+# 8 KB buffer made saving measurably slower than one joined write)
+_CHUNK = 1 << 13
+_RUN_SLICE = 512
+_SAVE_BUFFER = 1 << 16
 
 
 def _entry_out(value: int | Fraction):
@@ -106,10 +125,11 @@ def module_to_json(module: FIModule) -> dict:
     return _document(module, _matrix_out)
 
 
-def _entries_dumps(m: SparseMatrix, pad: str) -> Iterator[str]:
+def _entries_dumps(m: SparseMatrix, pad: str) -> Iterator[str | tuple[str, int]]:
     """The row-major entry list of ``m`` as ``json.dumps(..., indent=2)``
     lays out a list at the depth of ``pad`` (a newline and the indentation),
-    in pieces, each run of zeros one repeated string."""
+    in pieces, each run of zeros a pair ``(unit, count)``: ``count`` copies
+    of ``unit``."""
     n = m.rows * m.cols
     if not n:
         yield "[]"
@@ -124,19 +144,20 @@ def _entries_dumps(m: SparseMatrix, pad: str) -> Iterator[str]:
     pos = 0
     for idx, v in nonzero:
         v = _entry_out(v)
-        yield zero * (idx - pos)
-        yield str(v) if type(v) is int else f'"{v}"'
+        yield zero, idx - pos
+        entry = str(v) if type(v) is int else f'"{v}"'
         pos = idx + 1
-        if pos < n:
-            yield sep
+        yield entry + sep if pos < n else entry
     if pos < n:
-        yield zero * (n - 1 - pos) + "0"
+        yield zero, n - 1 - pos
+        yield "0"
     yield pad + "]"
 
 
-def _written(module: FIModule) -> Iterator[str]:
-    """The text of :func:`dumps_module` in pieces, so that it can be compared
-    without being held whole."""
+def _written(module: FIModule) -> Iterator[str | tuple[str, int]]:
+    """The text of :func:`dumps_module` in pieces, each zero run a pair
+    ``(unit, count)``, so that it can be written or compared without being
+    held whole."""
     matrices: list[SparseMatrix] = []
 
     def indexed(m: SparseMatrix) -> dict:
@@ -156,16 +177,74 @@ def _written(module: FIModule) -> Iterator[str]:
     yield "\n"
 
 
+def _text(module: FIModule) -> Iterator[str]:
+    """The text of :func:`dumps_module` in strings of bounded length: short
+    pieces joined up to about ``_CHUNK`` characters, and a long zero run as
+    one string of ``_RUN_SLICE`` units repeated."""
+    batch: list[str] = []
+    size = 0
+    for piece in _written(module):
+        if type(piece) is not str:
+            unit, count = piece
+            slices, count = divmod(count, _RUN_SLICE)
+            if slices:
+                yield "".join(batch)
+                batch.clear()
+                size = 0
+                run = unit * _RUN_SLICE
+                for _ in range(slices):
+                    yield run
+            piece = unit * count
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(batch)
+            batch.clear()
+            size = 0
+    yield "".join(batch)
+
+
 def dumps_module(module: FIModule) -> str:
     """The module's document as text: ``json.dumps(module_to_json(module),
     indent=2, sort_keys=True)`` and a newline.  An entry past the digit limit
     raises :class:`ModuleFormatError`, as loading one does."""
-    return "".join(_written(module))
+    return "".join(_text(module))
+
+
+def write_module(module: FIModule, handle) -> None:
+    """Write :func:`dumps_module` of the module to the text ``handle`` in
+    strings of bounded length, never holding the text whole.  An entry past
+    the digit limit raises :class:`ModuleFormatError` with part of the text
+    written."""
+    for piece in _text(module):
+        handle.write(piece)
 
 
 def save_module(module: FIModule, path) -> None:
-    """Write the module to ``path``; identical modules produce identical bytes."""
-    Path(path).write_text(dumps_module(module), encoding="utf-8")
+    """Write the module to ``path``; identical modules produce identical bytes.
+
+    The text goes to a sibling temporary file that then replaces ``path``,
+    so a save that fails leaves an existing file as it was.  A ``path`` that
+    exists but is not a regular file (a device or a pipe) is written directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as handle:
+            write_module(module, handle)
+        return
+    partial = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        handle = open(partial, "x", buffering=_SAVE_BUFFER, encoding="utf-8")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
+            write_module(module, handle)
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+        raise
 
 
 def _expect_natural(value, what: str) -> int:
@@ -203,12 +282,14 @@ def _entry_in(value, where: str) -> int | Fraction:
 
 class _Scanned:
     """An entry list read off the written layout: its length and the
-    ``(index, value)`` pairs of its nonzero entries.  JSON never produces
-    one, so only ``load_module``'s written route hands it to ``_matrix_in``."""
+    ``(index, value)`` pairs of its nonzero entries, read from the bytes
+    only as ``_matrix_in`` takes them, so no list of them is ever built.
+    JSON never produces one, so only ``load_module``'s written route hands
+    it to ``_matrix_in``."""
 
     __slots__ = ("count", "pairs")
 
-    def __init__(self, count: int, pairs: list):
+    def __init__(self, count: int, pairs: Iterator[tuple[int, int | Fraction]]):
         self.count = count
         self.pairs = pairs
 
@@ -216,36 +297,41 @@ class _Scanned:
         return self.count
 
 
-def _scan_entries(text: str, start: int, end: int) -> _Scanned:
-    """The entry list of ``text[start:end]``, the inside of its brackets as
+def _scan_entries(raw: bytes, start: int, end: int) -> _Scanned:
+    """The entry list of ``raw[start:end]``, the inside of its brackets as
     ``_entries_dumps`` lays it out: one entry per line after its indentation,
-    so each nonzero entry starts with a space and one of ``_NONZERO_STARTS``,
-    and its index is the number of commas before it."""
+    so its length is one more than its commas."""
+    count = raw.count(b",", start, end) + 1 if end > start else 0
+    return _Scanned(count, _nonzero(raw, start, end))
+
+
+def _nonzero(raw: bytes, start: int, end: int) -> Iterator[tuple[int, int | Fraction]]:
+    """The ``(index, value)`` pairs of the nonzero entries of the entry list
+    ``raw[start:end]``: each starts with a space and one of
+    ``_NONZERO_STARTS``, and its index is the number of commas before it."""
     starts = []
     for ch in _NONZERO_STARTS:
-        p = text.find(ch, start, end)
+        p = raw.find(ch, start, end)
         while p >= 0:
-            if text[p - 1] == " ":
+            if raw[p - 1] == _SPACE:
                 starts.append(p)
-            p = text.find(ch, p + 1, end)
+            p = raw.find(ch, p + 1, end)
     starts.sort()
-    pairs, idx, last = [], 0, start
+    idx, last = 0, start
     for p in starts:
-        idx += text.count(",", last, p)
+        idx += raw.count(b",", last, p)
         last = p
-        token = _NONZERO.match(text, p, end)
+        token = _NONZERO_ENTRY.match(raw, p, end)
         if token is None:
             raise ModuleFormatError("not in the written layout")
-        value = int(token[1]) if token[1] else _entry_in(token[2], "entries")
-        pairs.append((idx, value))
-    return _Scanned(text.count(",", start, end) + 1 if end > start else 0, pairs)
+        yield idx, int(token[1]) if token[1] else _entry_in(token[2].decode(), "entries")
 
 
-def _load_written(text: str) -> FIModule | None:
-    """The module of ``text`` if ``text`` is exactly what ``dumps_module``
-    writes for it, else None; never raises on malformed text."""
-    if not text.startswith(_WRITTEN_START):
-        return None
+def _read_layout(raw: bytes) -> FIModule:
+    """The module that ``raw`` describes if it is in the written layout:
+    each entry list is scanned in place, and only the document around them
+    is decoded and parsed.  Raises ``ValueError`` (a ``ModuleFormatError``,
+    a JSON or an ``int()`` error) where ``raw`` is not in that layout."""
     scanned: list[_Scanned] = []
     pieces, pos = [], 0
 
@@ -255,23 +341,38 @@ def _load_written(text: str) -> FIModule | None:
             obj["entries"] = scanned[i]
         return obj
 
+    while (start := raw.find(_ENTRIES_OPEN, pos)) >= 0:
+        start += len(_ENTRIES_OPEN)
+        end = raw.find(b"]", start)
+        if end < 0:
+            raise ModuleFormatError("not in the written layout")
+        scanned.append(_scan_entries(raw, start, end))
+        pieces += (raw[pos : start - 1], b"%d" % (len(scanned) - 1))
+        pos = end + 1
+    pieces.append(raw[pos:])
+    return module_from_json(json.loads(b"".join(pieces).decode(), object_hook=hook))
+
+
+def _writes(module: FIModule, raw: bytes) -> bool:
+    """Whether ``dumps_module(module)`` is exactly ``raw``, compared in the
+    writer's strings, so that the text is never held whole."""
+    pos = 0
+    for piece in _text(module):
+        piece = piece.encode()
+        if not raw.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(raw)
+
+
+def _load_written(raw: bytes) -> FIModule | None:
+    """The module of ``raw`` if ``raw`` is exactly what ``dumps_module``
+    writes for it, else None; never raises on malformed bytes."""
+    if not raw.startswith(_WRITTEN_START) or not raw.isascii():
+        return None
     try:
-        while (start := text.find(_ENTRIES_OPEN, pos)) >= 0:
-            start += len(_ENTRIES_OPEN)
-            end = text.find("]", start)
-            if end < 0:
-                return None
-            scanned.append(_scan_entries(text, start, end))
-            pieces += (text[pos : start - 1], str(len(scanned) - 1))
-            pos = end + 1
-        pieces.append(text[pos:])
-        module = module_from_json(json.loads("".join(pieces), object_hook=hook))
-        pos = 0
-        for piece in _written(module):  # dumps_module(module) == text
-            if not text.startswith(piece, pos):
-                return None
-            pos += len(piece)
-        return module if pos == len(text) else None
+        module = _read_layout(raw)
+        return module if _writes(module, raw) else None
     except (ValueError, RecursionError):  # int(), json, ModuleFormatError
         return None
 
@@ -370,16 +471,20 @@ def load_module(path) -> FIModule:
     """Read a module document from ``path``.
 
     Missing files surface as the usual ``OSError``; malformed content raises
-    :class:`ModuleFormatError`.  Text in the written layout takes the written
+    :class:`ModuleFormatError`.  Bytes in the written layout take the written
     route; everything else, and every error, the strict route.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModuleFormatError(f"not UTF-8: {exc}") from exc
-    module = _load_written(text)
+    raw = Path(path).read_bytes()
+    module = _load_written(raw)
     if module is not None:
         return module
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModuleFormatError(f"not UTF-8: {exc}") from exc
+    del raw  # hold the text alone while json.loads builds the document
+    if "\r" in text:  # universal newlines, as a file opened in text mode reads
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,9 +4,12 @@ import copy
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -178,8 +181,51 @@ def test_saving_an_overlong_entry_is_a_format_error(denominator, tmp_path):
     module.inclusions[1].set(0, 0, entry if denominator == 1 else Fraction(entry, denominator))
     with pytest.raises(ModuleFormatError, match="entry too long to write: "):
         dumps_module(module)
+    path = tmp_path / "module.json"
+    save_module(representable(1, 3), path)
+    saved = path.read_bytes()
     with pytest.raises(ModuleFormatError):
-        save_module(module, tmp_path / "module.json")
+        save_module(module, path)
+    # the failed save left the existing file as it was, and no partial file
+    assert path.read_bytes() == saved
+    assert os.listdir(tmp_path) == ["module.json"]
+
+
+def test_a_save_that_cannot_start_names_the_path_asked_for(tmp_path, capsys):
+    path = tmp_path / "missing" / "module.json"
+    with pytest.raises(FileNotFoundError) as raised:
+        save_module(representable(1, 3), path)
+    assert raised.value.filename == str(path)
+    argv = ["representable", "--n", "1", "--max-degree", "3", "--output", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"fi-calc representable: [Errno 2] No such file or directory: '{path}'\n"
+    )
+
+
+def test_saving_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old", encoding="utf-8")
+    link.symlink_to(target)
+    module = representable(2, 4)
+    save_module(module, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == _pinned_bytes(module)
+
+
+def test_saving_to_a_pipe_writes_into_the_pipe(tmp_path):
+    # a path that is not a regular file is written directly, never replaced
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = {}
+    reader = threading.Thread(target=lambda: read.update(data=pipe.read_bytes()), daemon=True)
+    reader.start()
+    module = representable(2, 4)
+    save_module(module, pipe)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert read["data"] == _pinned_bytes(module)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -390,7 +436,7 @@ def test_module_files_do_not_use_the_locale_encoding(tmp_path):
 def _strict_load(path):
     """``load_module`` with the written route turned off: json.loads and
     module_from_json alone."""
-    with mock.patch.object(module_io, "_load_written", lambda text: None):
+    with mock.patch.object(module_io, "_load_written", lambda raw: None):
         return load_module(path)
 
 
@@ -413,6 +459,7 @@ def _outcome(load, path):
         lambda: representable(1, 1),
         lambda: representable(0, 1),
         *(lambda k=k: zero_module(k) for k in (0, 1, 3)),
+        lambda: _named_module("é"),
     ],
     ids=[
         *(f"representable({n})-K5" for n in (0, 1, 2, 3)),
@@ -425,15 +472,16 @@ def _outcome(load, path):
         "zero-K0",
         "zero-K1",
         "zero-K3",
+        "escaped-non-ascii-name",
     ],
 )
 def test_saved_files_take_the_written_route_to_the_strict_module(build, tmp_path):
     path = tmp_path / "mod.json"
     save_module(build(), path)
-    text = path.read_text(encoding="utf-8")
-    assert module_io._load_written(text) is not None
+    raw = path.read_bytes()
+    assert module_io._load_written(raw) is not None
     loaded = load_module(path)
-    assert dumps_module(loaded) == text
+    assert dumps_module(loaded).encode() == raw
     assert module_to_json(loaded) == module_to_json(_strict_load(path))
 
 
@@ -489,3 +537,48 @@ def test_loading_a_saved_module_never_parses_the_whole_text(tmp_path, monkeypatc
     loaded = load_module(path)
     assert dumps_module(loaded) == text
     assert lengths and max(lengths) < len(text) // 10
+
+
+def _crlf_copy(module) -> bytes:
+    return dumps_module(module).replace("\n", "\r\n").encode()
+
+
+def _raw_utf8_name(module) -> bytes:
+    doc = {**module_to_json(module), "name": "héllo ☃"}
+    return (json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("encode", [_crlf_copy, _raw_utf8_name], ids=["crlf", "raw-utf8-name"])
+def test_other_encodings_of_a_saved_file_load_as_the_strict_route_reads_them(encode, tmp_path):
+    module = free_module((2, 1), 5)
+    path = tmp_path / "mod.json"
+    path.write_bytes(encode(module))
+    assert module_io._load_written(path.read_bytes()) is None
+    loaded = load_module(path)
+    assert module_to_json(loaded) == module_to_json(_strict_load(path))
+    assert loaded.dims == module.dims
+    assert [m.columns for m in loaded.inclusions] == [m.columns for m in module.inclusions]
+
+
+def _traced_peak(call):
+    """The peak and the final size of the memory that ``call`` allocates,
+    with what it returns still alive."""
+    tracemalloc.start()
+    try:
+        kept = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, current
+
+
+def test_saving_and_loading_never_hold_a_second_copy_of_the_text(tmp_path):
+    module = free_module((2, 1), 8)
+    path = tmp_path / "mod.json"
+    save_peak, _ = _traced_peak(lambda: save_module(module, path))
+    size = path.stat().st_size
+    assert save_peak < size / 10
+    # the load holds the file's bytes once, the module it returns (about a
+    # quarter of this file's size) and little besides
+    load_peak, kept = _traced_peak(lambda: load_module(path))
+    assert load_peak - kept < 1.1 * size
