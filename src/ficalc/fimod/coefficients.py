@@ -36,10 +36,11 @@ later stage is the witness, and the scan (``_stable_stage``) returns it as a
 ``CubeStage``; a coefficient's dims and characters are read off that stage.
 The witness is memoized per module, next to its coinvariant quotients, so
 each module scans each cube once: ``taylor_coefficient``, the profile (and
-its transitions at that stage) and every shift check share one witness.  Only
-witnesses are kept, not the stages scanned before them, and a cube that
-does not stabilize is scanned again on every call.  Within one profile, the
-stages of cube n that one transition builds serve the next transition too.
+its transitions at that stage) and every shift check share one witness.  The
+stages scanned before a witness are not kept, and a cube that does not
+stabilize is scanned again on every call.  The stages that transitions build
+are memoized in the same cache, so consecutive transitions of a profile, and
+later transitions of the module, share the stages they have in common.
 Characters walk the class tree of ``action_character`` over the homology
 matrices of adjacent transpositions of cube coordinates, which each stage
 builds on first use and keeps (``CubeStage.homology_generator``), so a degree
@@ -430,21 +431,22 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
 # ---------------------------------------------------------------------------
 
 
-def _stage(module: FIModule, cube: int, k: int, kept: dict) -> CubeStage:
+def _stage(module: FIModule, cube: int, k: int) -> CubeStage:
     """Stage k of the cube: the memoized witness when it is that stage, else
-    the one in ``kept`` under (cube, k), built and put there on first use."""
+    the stage memoized under ("stage", cube, k), built on first use."""
     witness = module._coinv_cache.get(("witness", cube))
     if witness is not None and witness.k == k:
         return witness
-    if (cube, k) not in kept:
-        kept[cube, k] = CubeStage(module, cube, k)
-    return kept[cube, k]
+    key = ("stage", cube, k)
+    if key not in module._coinv_cache:
+        module._coinv_cache[key] = CubeStage(module, cube, k)
+    return module._coinv_cache[key]
 
 
-def _transition_at_stage(module: FIModule, f: Injection, k: int, kept: dict):
+def _transition_at_stage(module: FIModule, f: Injection, k: int):
     """Homology-basis matrix of the extension-sum map at one stage, with the
     boundary-preservation check."""
-    src, tgt = _stage(module, f.source_size, k, kept), _stage(module, f.target_size, k, kept)
+    src, tgt = _stage(module, f.source_size, k), _stage(module, f.target_size, k)
     t = _stage_map(module, f, src, tgt)
     for col in src.complex.differentials[0].columns if src.cube else ():
         if tgt.homology.express(0, t.apply(col)):
@@ -454,9 +456,7 @@ def _transition_at_stage(module: FIModule, f: Injection, k: int, kept: dict):
     return src, tgt, _homology_map(t, src, tgt)
 
 
-def coefficient_transition(
-    module: FIModule, f: Injection, k: int, kept: dict | None = None
-) -> SparseMatrix:
+def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatrix:
     """Matrix of the induced map on degree-0 stable homology, in the
     homology bases of the stage-k cubes at source and target size.
 
@@ -465,15 +465,10 @@ def coefficient_transition(
     window allows forming stage k+1) the matrices at k and k+1 must agree
     under the stabilization transition maps.  Either failure raises
     InstabilityError.
-
-    A caller may pass a dict as ``kept``: the stages built are put in it,
-    keyed by (cube, stage), and read from it when already there, so the
-    transitions of one profile share the stages they have in common.
     """
-    kept = {} if kept is None else kept
-    src, tgt, mat = _transition_at_stage(module, f, k, kept)
+    src, tgt, mat = _transition_at_stage(module, f, k)
     if f.target_size + k + 1 <= module.max_degree:
-        src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1, kept)
+        src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
         s_src = _stabilization(src, src_next)
         s_tgt = _stabilization(tgt, tgt_next)
         if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
@@ -509,14 +504,11 @@ def coefficient_profile(module: FIModule, max_index: int | None = None) -> Coeff
     if max_index < 0:
         raise ValueError(f"coefficient index bound must be non-negative, got {max_index}")
     coefficients = tuple(taylor_coefficient(module, n) for n in range(max_index + 1))
-    transitions = []
-    kept: dict = {}
-    for n in range(max_index):
-        k = max(coefficients[n].witness, coefficients[n + 1].witness)
-        # of the stages the last transition built, only those of cube n can serve again
-        kept = {key: stage for key, stage in kept.items() if key[0] == n}
-        transitions.append(coefficient_transition(module, standard_inclusion(n, n + 1), k, kept))
-    return CoefficientProfile(module.name, coefficients, tuple(transitions))
+    transitions = tuple(
+        coefficient_transition(module, standard_inclusion(n, n + 1), max(c.witness, d.witness))
+        for n, (c, d) in enumerate(zip(coefficients, coefficients[1:]))
+    )
+    return CoefficientProfile(module.name, coefficients, transitions)
 
 
 # ---------------------------------------------------------------------------

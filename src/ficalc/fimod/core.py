@@ -6,9 +6,11 @@ k-1 adjacent-transposition matrices, and for each k < K the matrix of the
 standard inclusion k -> k+1.  Every structure map E(f) is recovered by
 factoring f as (permutation) after (standard inclusion chain).
 
-Matrices are kept column-sparse; the constructors produce permutation-like
-columns, and all downstream pipelines only ever apply them to lists of sparse
-vectors, one generator matrix at a time over the whole list.
+Every constructor is a basis in each degree and an action of the adjacent
+transpositions on it, laid out by one assembler, ``_assemble``; its
+inclusions send each basis element to itself.  Matrices are kept
+column-sparse, and all downstream pipelines only ever apply them to lists of
+sparse vectors, one generator matrix at a time over the whole list.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class FIModule:
                 raise ValueError(f"inclusion at degree {k} has wrong shape")
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
-        # (s, k) -> CoinvariantQuotient; ("witness", cube) -> its witness CubeStage
+        # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------
@@ -153,32 +155,44 @@ def evaluate(module: FIModule, f: Injection) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def representable(n: int, max_degree: int) -> FIModule:
-    """The injection module of rank n: basis at degree k = injections n -> k.
+def _assemble(name: str, max_degree: int, bound: int, bases, act) -> FIModule:
+    """The module generated in degree ``bound`` with the list ``bases[k]`` of
+    hashable basis elements at degree k.  The adjacent transposition s_i
+    moves each point v to ``swap[v]`` and sends x to ``act(i, swap, x)``, as
+    (basis element, coefficient) pairs with distinct elements.  Each
+    inclusion sends a basis element to itself."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    if not 0 <= bound <= max_degree:
+        raise ValueError(f"{name} is generated in degree {bound}, outside the window 0..{max_degree}")
+    points = range(max_degree)
+    swaps = [[i if v == i - 1 else i - 1 if v == i else v for v in points] for i in points]
+    index = [{x: j for j, x in enumerate(b)} for b in bases]
 
-    The symmetric group acts by postcomposition; inclusions send a basis
-    injection to itself viewed in the larger target.
-    """
+    def transposition(k, i):
+        idx, columns = index[k], [{} for _ in bases[k]]
+        for column, x in zip(columns, bases[k]):
+            for y, c in act(i, swaps[i], x):
+                column[idx[y]] = c
+        return SparseMatrix(len(columns), len(columns), columns)
+
+    transpositions = [[transposition(k, i) for i in range(1, k)] for k in range(max_degree + 1)]
+    inclusions = [
+        SparseMatrix(len(bases[k + 1]), len(b), [{index[k + 1][x]: 1} for x in b])
+        for k, b in enumerate(bases[:-1])
+    ]
+    return FIModule(name, max_degree, bound, [len(b) for b in bases], transpositions, inclusions)
+
+
+def representable(n: int, max_degree: int) -> FIModule:
+    """The injection module of rank n: basis at degree k = injections n -> k,
+    acted on by postcomposition."""
     if n < 0:
         raise ValueError("n must be non-negative")
     bases = [list(itertools.permutations(range(k), n)) for k in range(max_degree + 1)]
-    dims = [len(b) for b in bases]
-    index = [{f: i for i, f in enumerate(b)} for b in bases]
-    transpositions = []
-    for k in range(max_degree + 1):
-        gens = []
-        for i in range(1, k):
-            cols = []
-            for f in bases[k]:
-                g = tuple((i if v == i - 1 else i - 1 if v == i else v) for v in f)
-                cols.append({index[k][g]: 1})
-            gens.append(SparseMatrix(dims[k], dims[k], cols))
-        transpositions.append(gens)
-    inclusions = []
-    for k in range(max_degree):
-        cols = [{index[k + 1][f]: 1} for f in bases[k]]
-        inclusions.append(SparseMatrix(dims[k + 1], dims[k], cols))
-    return FIModule(f"representable({n})", max_degree, n, dims, transpositions, inclusions)
+    return _assemble(
+        f"representable({n})", max_degree, n, bases, lambda i, s, f: ((tuple(map(s.__getitem__, f)), 1),)
+    )
 
 
 def free_module(lam: Partition, max_degree: int) -> FIModule:
@@ -189,52 +203,23 @@ def free_module(lam: Partition, max_degree: int) -> FIModule:
     through the order-preserving identification of A with {0..n-1}.
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    f = specht_dimension(lam)
-    specht = specht_matrices(lam)
-    blocks = [list(itertools.combinations(range(k), n)) for k in range(max_degree + 1)]
-    dims = [len(b) * f for b in blocks]
-    index = [{a: i for i, a in enumerate(b)} for b in blocks]
-    transpositions = []
-    for k in range(max_degree + 1):
-        gens = []
-        for i in range(1, k):
-            cols = [dict() for _ in range(dims[k])]
-            for a_idx, a in enumerate(blocks[k]):
-                in_low = (i - 1) in a
-                in_high = i in a
-                if in_low and in_high:
-                    p = a.index(i - 1)  # i-1 and i are adjacent in sorted a
-                    for b, col in enumerate(specht[p].columns):
-                        cols[a_idx * f + b] = {a_idx * f + r: v for r, v in col.items()}
-                elif in_low or in_high:
-                    moved = tuple(sorted((x for x in a if x not in (i - 1, i))) )
-                    new = tuple(sorted(moved + ((i,) if in_low else (i - 1,))))
-                    t_idx = index[k][new]
-                    for b in range(f):
-                        cols[a_idx * f + b][t_idx * f + b] = 1
-                else:
-                    for b in range(f):
-                        cols[a_idx * f + b][a_idx * f + b] = 1
-            gens.append(SparseMatrix(dims[k], dims[k], cols))
-        transpositions.append(gens)
-    inclusions = []
-    for k in range(max_degree):
-        cols = [dict() for _ in range(dims[k])]
-        for a_idx, a in enumerate(blocks[k]):
-            t_idx = index[k + 1][a]
-            for b in range(f):
-                cols[a_idx * f + b][t_idx * f + b] = 1
-        inclusions.append(SparseMatrix(dims[k + 1], dims[k], cols))
-    label = ",".join(str(x) for x in lam)
-    return FIModule(f"free(({label}))", max_degree, n, dims, transpositions, inclusions)
+    n, specht, f = sum(lam), specht_matrices(lam), specht_dimension(lam)
+    bases = [
+        list(itertools.product(itertools.combinations(range(k), n), range(f)))
+        for k in range(max_degree + 1)
+    ]
+
+    def act(i, swap, x):
+        a, b = x
+        if i - 1 in a and i in a:  # i - 1 and i are adjacent in sorted a
+            return [((a, r), v) for r, v in specht[a.index(i - 1)].columns[b].items()]
+        return (((tuple(sorted(map(swap.__getitem__, a))), b), 1),)
+
+    return _assemble(f"free(({','.join(map(str, lam))}))", max_degree, n, bases, act)
 
 
 def zero_module(max_degree: int) -> FIModule:
-    dims = [0] * (max_degree + 1)
-    transpositions = [[SparseMatrix(0, 0) for _ in range(max(k - 1, 0))] for k in range(max_degree + 1)]
-    inclusions = [SparseMatrix(0, 0) for _ in range(max_degree)]
-    return FIModule("zero", max_degree, 0, dims, transpositions, inclusions)
+    return _assemble("zero", max_degree, 0, [[]] * (max_degree + 1), None)
 
 
 # ---------------------------------------------------------------------------

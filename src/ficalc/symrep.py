@@ -191,20 +191,32 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(build(lam, n))
 
 
+def _tableau_count(lam: Partition, memo: dict | None = None) -> int:
+    """The number of standard tableaux of shape lam by the branching rule:
+    the largest entry sits in a corner, so it is the sum of the counts of
+    lam minus each corner, memoized over the sub-diagrams (at most
+    prod(lam_i + 1)).  Diagrams of at most four cells are counted by
+    ``standard_tableaux``, which lists them."""
+    memo = {} if memo is None else memo
+    if lam not in memo:
+        if sum(lam) <= 4:
+            memo[lam] = len(standard_tableaux(lam))
+        else:  # a corner in a row of one cell is in the last row
+            corners = [i for i, x in enumerate(lam) if i + 1 == len(lam) or x > lam[i + 1]]
+            smaller = (lam[:i] + (lam[i] - 1,) * (lam[i] > 1) + lam[i + 1 :] for i in corners)
+            memo[lam] = sum(_tableau_count(mu, memo) for mu in smaller)
+    return memo[lam]
+
+
 def specht_dimension(lam: Partition) -> int:
     """Dimension of the irreducible labelled by ``lam``.
 
     Computed by the hook length formula and cross-checked against the count
-    of standard tableaux.
+    of standard tableaux (``_tableau_count``).
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    prod = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            prod *= h
-    by_hooks = math.factorial(n) // prod
-    by_count = len(standard_tableaux(lam))
+    by_hooks = math.factorial(sum(lam)) // math.prod(h for row in hook_lengths(lam) for h in row)
+    by_count = _tableau_count(lam)
     if by_hooks != by_count:
         raise CrossCheckError(
             f"hook formula ({by_hooks}) disagrees with tableau count ({by_count}) at {lam}"

@@ -51,6 +51,24 @@ def test_free_generates_valid_module(tmp_path, capsys):
     assert json.loads(out)["dims"] == [0, 0, 1, 3, 6]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["representable", "--n", "4", "--max-degree", "2"],
+            "representable(4) is generated in degree 4, outside the window 0..2",
+        ),
+        (
+            ["free", "--lambda", "3", "--max-degree", "2"],
+            "free((3)) is generated in degree 3, outside the window 0..2",
+        ),
+    ],
+)
+def test_generators_outside_the_window_name_the_module(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"fi-calc {argv[0]}: {message}\n"
+
+
 def test_generators_refuse_non_json_formats(capsys):
     code = main(["representable", "--n", "1", "--max-degree", "3", "--format", "csv"])
     assert code == 2

@@ -1,5 +1,6 @@
 """The windowed module type: constructors, evaluation, validation."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +23,7 @@ from ficalc.fimod import (
     validate,
     zero_module,
 )
-from ficalc.symrep import specht_dimension
+from ficalc.symrep import partitions_of, specht_dimension
 from test_module_io import rescaled
 
 
@@ -57,6 +58,67 @@ def test_zero_module():
     module = zero_module(4)
     assert module.dims == (0, 0, 0, 0, 0)
     assert validate(module).valid
+
+
+# sha256 of dumps_module for every constructor: the basis order and the
+# coefficients, which no dimension, character or rank reads
+CONSTRUCTOR_DIGESTS = {
+    "representable(0, 0)": "6538e0a0530c5b44395d4182916702c132f2fa899a56d5d398419cb7ba4f5e54",
+    "representable(0, 1)": "97ef4fc27852ab1ad131cdc055c2d386d292e4842eae662c1a7ba81bf3bbe0fc",
+    "representable(0, 2)": "1fab2b8a4f372ca9eaf4f1ffd942e98592cf7ee6fc9a9f21a8eee860df212eff",
+    "representable(0, 3)": "69979652f1a28737f69d889b69642842da95ddcc574955866a67c82aa0316507",
+    "representable(0, 4)": "1286431c641b5372959ea137bfac5ebf1965f986b0dfdbcd3d06dfe9c6d4d823",
+    "representable(0, 5)": "6339d8ecf32018947d3655ec29264589f8aaad88564b0e425e9f4da9e2e17622",
+    "representable(0, 6)": "13d44746abf959ce73f81cb8bc42d97e562d4228a0fc60ce8163bb6731813e6b",
+    "representable(0, 7)": "cdbd51e538de66fc4dac2caeec9b58570a133a94fabf64a23edccc71bf5be1cc",
+    "representable(1, 1)": "fef382aef2110496910c3db684177079c42e3de30241c0eeb2cabaa5dc27e4f4",
+    "representable(1, 2)": "2e2ba33e673feb9abeaf047e95a492cbd00122690d4252724ec9fb8536146df7",
+    "representable(1, 3)": "08e501eca4e90589e7c96c7128f1c6df536cf402d7c78c9b557aa7932c42aa83",
+    "representable(1, 4)": "71f6c523eb703cfeacf876551f5f50f9dd7e62771347d16753c298cefdb2818e",
+    "representable(1, 5)": "afcabee575115ac575f1bbf9df237f58de7a094257b446607e29bdc69ff6a3d7",
+    "representable(1, 6)": "ad88192079322a8111fb6f9131943bc0fd955130697455d901d61996fd8cef7d",
+    "representable(1, 7)": "784570bf35d3c4a92db0ac4b4174d66d121ae796bde6e8c8956da6a5f07dd4fe",
+    "representable(2, 2)": "01aea6d08b1ea23834a1d9766376d565edb123032043850ec055c4fe4520afa8",
+    "representable(2, 3)": "e7e763dfa930ab951938804c295bfa67f23d7c59fbccfb81a5123a1d152b8701",
+    "representable(2, 4)": "0b89932694632dad2deceafbbbe3438b202cfdde5b2b7149ad15c69aef194256",
+    "representable(2, 5)": "839ee52301b925949c45ccaf11e7b2830eb38c3ea4c84b164cda921773e86e26",
+    "representable(2, 6)": "51a2f040ce9cde15ad2831b08a744e10b445058e9031e979c669d4c6acfbcea2",
+    "representable(2, 7)": "16c62d007ded702382de3a32a24d987a8ca1562a827801685237d627a20d5b2c",
+    "representable(3, 3)": "21f9c14f117c6caf1a901399bb204db16273dbe693254a09174c7f0d0cd34161",
+    "representable(3, 4)": "297185925087290732ea0c0c3e451c85149ca9ed0af16f4cf926b7988d2aa28f",
+    "representable(3, 5)": "4f3249ab726529f70d4b6b7c279000e905b047e897eb507a26152d10cfc21e1e",
+    "representable(3, 6)": "e3f0ca0ca9f7c5b206c272cc1483a831821ea7fe6b0de1764b932836a0558e67",
+    "representable(3, 7)": "a4cb990b3717eed68499938bd24791a9db2d7ca6017ed314b6a1aa733dc60406",
+    "free_module((), 7)": "cff2dd911eb7ee384bf4c9be22ec907afecd03f1e00e69e43e0acb674d77ce02",
+    "free_module((1,), 7)": "458bcf44e910f4dcca6abb02a12757252bb6648cb6fe7fddfe342ad8b8a0d7eb",
+    "free_module((2,), 7)": "f943bfaad0b66152aab7284bd9ab5db98d1e92e103f867bed1b25044f7194fba",
+    "free_module((1, 1), 7)": "6d956922a4a90706177ae42fb6bf831f3cd08def72e556e0b11a164c7bd94d4f",
+    "free_module((3,), 7)": "e652f0ce9fa8874a75ec73246bf576deb6550d63a934152408df060066c6778a",
+    "free_module((2, 1), 7)": "8ff67df2c7012664c595e1f9fe0818c638822d33efa545c3f4b3067ed17dc29e",
+    "free_module((1, 1, 1), 7)": "429fec7566bf1e6543cbb339396155dc23a9f528ea9768ea4a5a145587f537a7",
+    "free_module((4,), 7)": "dc64ac52ecb6ec43b0768cadd7e2239c5634879f3ea74028ca6b6801f10bb40e",
+    "free_module((3, 1), 7)": "606886e6b0cebd0dabda28433ec5ec73ec540eeb38b388d1078416008f392afb",
+    "free_module((2, 2), 7)": "c735f9aee8b8d12d650eaa1c11946ddfdae4e1fdf8a244dfc191f0c1a6c99583",
+    "free_module((2, 1, 1), 7)": "0696211f4a00a097d927841a70440475fb614c29d331c9fb03a703301259a01f",
+    "free_module((1, 1, 1, 1), 7)": "b62581c46dfc47f304cb5aff0420a13bb0312d2adde9d014a8c0cfd7b16f23a4",
+    "zero_module(3)": "5302256449e8ab4ae1530875133ec55e314ab9c5ac46f831dddcdeb9125719e2",
+}
+
+
+def test_constructor_documents_are_pinned_by_digest():
+    built = {}
+    for n in range(4):
+        for max_degree in range(n, 8):
+            built[f"representable({n}, {max_degree})"] = representable(n, max_degree)
+    for size in range(5):
+        for lam in partitions_of(size):
+            built[f"free_module({lam}, 7)"] = free_module(lam, 7)
+    built["zero_module(3)"] = zero_module(3)
+    digests = {
+        name: hashlib.sha256(dumps_module(module).encode()).hexdigest()
+        for name, module in built.items()
+    }
+    assert digests == CONSTRUCTOR_DIGESTS
 
 
 def test_window_checks(f2):

@@ -474,6 +474,17 @@ def test_irreducible_norm_one(lam):
     assert chi.dimension == specht_dimension(lam)
 
 
+def test_branching_count_matches_the_listed_tableaux():
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert symrep._tableau_count(lam) == len(standard_tableaux(lam))
+
+
+def test_specht_dimension_beyond_listing_scale():
+    # 2,311,155 standard tableaux: the count must not list them
+    assert specht_dimension((24, 3, 3)) == 2311155
+
+
 def test_hook_formula_mismatch_raises(monkeypatch):
     monkeypatch.setattr(symrep, "standard_tableaux", lambda lam: [])
     with pytest.raises(CrossCheckError, match="tableau count"):
