@@ -43,7 +43,7 @@ from .fimod import (
     taylor_coefficient,
     validate,
 )
-from .fimod.io import _entry_count, write_module
+from .fimod.io import _entry_count, _entry_out, write_module
 from .nervehom import (
     TheoremViolationError,
     certify_homology,
@@ -55,6 +55,7 @@ from .nervehom import (
 )
 from .symrep import (
     NotACharacterError,
+    check_partition,
     gn_character,
     gn_dimension,
     inner_product,
@@ -87,26 +88,15 @@ def _partition_arg(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of integers"
-        )
-    if any(p <= 0 for p in parts):
-        raise argparse.ArgumentTypeError(f"partition parts must be positive: {text!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise argparse.ArgumentTypeError(f"partition must be weakly decreasing: {text!r}")
-    return parts
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+    try:
+        return check_partition(parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _fmt_partition(lam) -> str:
     return ",".join(str(x) for x in lam)
-
-
-def _fmt_scalar(value):
-    """JSON-ready number: int when integral, lowest-terms string otherwise."""
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return int(frac)
-    return f"{frac.numerator}/{frac.denominator}"
 
 
 @dataclass
@@ -274,7 +264,7 @@ def _cmd_coefficients(args):
                     {
                         "degree": d,
                         "classes": [_fmt_partition(ct) for ct in classes],
-                        "values": [_fmt_scalar(v) for v in chi.values],
+                        "values": [_entry_out(v) for v in chi.values],
                     }
                     for d, chi in enumerate(coeff.characters)
                 ],
@@ -282,7 +272,7 @@ def _cmd_coefficients(args):
         )
         dim_rows.append((n, coeff.witness, " ".join(str(d) for d in coeff.dims)))
         for ct, value in zip(classes, coeff.characters[0].values):
-            char_rows.append((n, _fmt_partition(ct) or "-", _fmt_scalar(value)))
+            char_rows.append((n, _fmt_partition(ct) or "-", _entry_out(value)))
     ranks = [rank(t) for t in profile.transitions]
     transition_rows = [
         (f"{n}->{n + 1}", f"{t.rows}x{t.cols}", r)
@@ -318,7 +308,7 @@ def _cmd_decompose(args):
 
 def _cmd_predict(args):
     module = load_module(args.input)
-    profile = coefficient_profile(module, args.max_index)
+    profile = coefficient_profile(module)
     prediction = dictionary_prediction(profile, args.k)
     payload, rows = _decomposition_payload(prediction)
     doc = {
@@ -791,7 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="stable decomposition predicted from coefficients")
     p.add_argument("input", help="module JSON file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-index", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_predict)
 

@@ -49,7 +49,7 @@ without homology none.
 ``delta_coefficient_shift_check`` reads both of its characters, on the last
 and on the first cube coordinates, off the single witness stage of the
 (n+i)-cube.
-A stage outside the window is refused by ``CubeStage`` itself.
+``_cube_complex`` is also the one place that refuses a stage outside the window.
 """
 
 from __future__ import annotations
@@ -201,7 +201,13 @@ def _induced(module: FIModule, f: Injection, src, tgt) -> list[dict]:
 def _cube_complex(module: FIModule, cube: int, k: int, quotient):
     """The stage-k cube complex whose summand at S is ``quotient(|S|)``, a
     quotient of E(|S| + k).  Returns the subsets of each degree, their
-    offsets and the complex."""
+    offsets and the complex; a stage outside the window is refused first."""
+    if cube < 0 or k < 0:
+        raise ValueError("cube size and stage must be non-negative")
+    if cube + k > module.max_degree:
+        raise WindowError(
+            f"stage {k} of the {cube}-cube needs degree {cube + k} > window {module.max_degree}"
+        )
     summands = [list(itertools.combinations(range(cube), cube - i)) for i in range(cube + 1)]
     offsets, dims = [], []
     for level in summands:
@@ -228,19 +234,14 @@ class CubeStage:
     """The stage-k coinvariant cube complex of a module, with its homology."""
 
     def __init__(self, module: FIModule, cube: int, k: int):
-        if cube < 0 or k < 0:
-            raise ValueError("cube size and stage must be non-negative")
-        if cube + k > module.max_degree:
-            raise WindowError(
-                f"stage {k} of the {cube}-cube needs degree {cube + k} > window {module.max_degree}"
-            )
+        self.summands, self.offsets, self.complex = _cube_complex(
+            module, cube, k, lambda s: _quotient(module, s, k)
+        )
         self.module = module
         self.cube = cube
         self.k = k
+        # filled only now: ``_quotient`` needs the window check done first
         self.quotients = {s: _quotient(module, s, k) for s in range(cube + 1)}
-        self.summands, self.offsets, self.complex = _cube_complex(
-            module, cube, k, lambda s: self.quotients[s]
-        )
         try:
             self.complex.validate()
         except ComplexInvalidError as exc:
@@ -520,8 +521,4 @@ def delta_complex(module: FIModule, n: int, k: int) -> ChainComplex:
     """The full (non-coinvariant) stage-k cube complex.  It is the cube
     over the quotients of E(s + k) by no tail generators: every coordinate
     is free and ``project`` is the identity."""
-    if n < 0 or k < 0:
-        raise ValueError("cube size and stage must be non-negative")
-    if n + k > module.max_degree:
-        raise WindowError(f"degree {n + k} outside window {module.max_degree}")
     return _cube_complex(module, n, k, lambda s: _quotient(module, s + k, 0))[2]

@@ -4,7 +4,8 @@ A module is stored as a window of symmetric-group representations
 ``E(0), ..., E(K)`` glued by one-step inclusion maps: for each degree the
 k-1 adjacent-transposition matrices, and for each k < K the matrix of the
 standard inclusion k -> k+1.  Every structure map E(f) is recovered by
-factoring f as (permutation) after (standard inclusion chain).
+factoring f as (permutation) after (standard inclusion chain).  ``FIModule``
+alone checks this shape and the generation bound, in the document's field names.
 
 Every constructor is a basis in each degree and an action of the adjacent
 transpositions on it, laid out by one assembler, ``_assemble``; its
@@ -62,26 +63,28 @@ class FIModule:
         if max_degree < 0:
             raise ValueError("max_degree must be non-negative")
         if not 0 <= generation_bound <= max_degree:
-            raise ValueError("generation_bound must lie inside the window")
+            raise ValueError(
+                f"{name} is generated in degree {generation_bound}, outside the window 0..{max_degree}"
+            )
         self.name = str(name)
         self.max_degree = int(max_degree)
         self.generation_bound = int(generation_bound)
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != max_degree + 1 or any(d < 0 for d in self.dims):
-            raise ValueError("dims must list one non-negative dimension per degree 0..K")
+            raise ValueError(f"dims must list one non-negative dimension per degree 0..{max_degree}")
         self.transpositions = tuple(tuple(m for m in transpositions[k]) for k in range(max_degree + 1))
         self.inclusions = tuple(inclusions)
-        for k, gens in enumerate(self.transpositions):
+        for k, (d, gens) in enumerate(zip(self.dims, self.transpositions)):
             if len(gens) != max(k - 1, 0):
-                raise ValueError(f"degree {k} needs {max(k-1,0)} transposition matrices")
+                raise ValueError(f"transpositions[{k}] must list {max(k - 1, 0)} matrices")
             for i, g in enumerate(gens):
-                if (g.rows, g.cols) != (self.dims[k], self.dims[k]):
-                    raise ValueError(f"transposition {i+1} at degree {k} has wrong shape")
+                if (g.rows, g.cols) != (d, d):
+                    raise ValueError(f"transpositions[{k}][{i}] must be {d}x{d}")
         if len(self.inclusions) != max_degree:
-            raise ValueError("need one inclusion matrix per degree 0..K-1")
+            raise ValueError(f"inclusions must list {max_degree} matrices")
         for k, inc in enumerate(self.inclusions):
             if (inc.rows, inc.cols) != (self.dims[k + 1], self.dims[k]):
-                raise ValueError(f"inclusion at degree {k} has wrong shape")
+                raise ValueError(f"inclusions[{k}] must be {self.dims[k + 1]}x{self.dims[k]}")
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
         # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage
@@ -160,11 +163,8 @@ def _assemble(name: str, max_degree: int, bound: int, bases, act) -> FIModule:
     hashable basis elements at degree k.  The adjacent transposition s_i
     moves each point v to ``swap[v]`` and sends x to ``act(i, swap, x)``, as
     (basis element, coefficient) pairs with distinct elements.  Each
-    inclusion sends a basis element to itself."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    if not 0 <= bound <= max_degree:
-        raise ValueError(f"{name} is generated in degree {bound}, outside the window 0..{max_degree}")
+    inclusion sends a basis element to itself.  Outside the window the bases
+    are empty, and ``FIModule`` refuses the bound."""
     points = range(max_degree)
     swaps = [[i if v == i - 1 else i - 1 if v == i else v for v in points] for i in points]
     index = [{x: j for j, x in enumerate(b)} for b in bases]

@@ -63,7 +63,7 @@ def dictionary_prediction(profile: CoefficientProfile, k: int) -> RepDecompositi
     Each coefficient C_n must be concentrated in homological degree 0; its
     constituents mu contribute mult(mu) copies of the padded partition
     (k - |mu|, mu).  Valid once k is at least twice the top nonzero
-    coefficient index.
+    coefficient index, and only from a profile that reaches the generation bound.
     """
     top = 0
     for n, coeff in enumerate(profile.coefficients):

@@ -6,6 +6,9 @@ degree as a string, holding the k-1 adjacent-transposition matrices), and
 ``inclusions``.  A matrix is ``{"rows": r, "cols": c, "entries": [...]}``
 with row-major entries, each either an integer or a lowest-terms ``"p/q"``
 string.  Anything else is rejected with a message naming the offending field.
+The reader checks what only a document can get wrong (types, fields, keys,
+the lengths of ``dims`` and ``inclusions``) and each matrix's declared shape
+against its slot before building it; ``FIModule`` checks the rest.
 
 Integer entries load as ``int`` and only ``"p/q"`` entries as ``Fraction``, so
 an integral module stays in ``int`` arithmetic.  ``dumps_module``, the text
@@ -377,7 +380,7 @@ def _load_written(raw: bytes) -> FIModule | None:
         return None
 
 
-def _matrix_in(doc, where: str) -> SparseMatrix:
+def _matrix_in(doc, where: str, rows: int, cols: int) -> SparseMatrix:
     if not isinstance(doc, dict):
         raise ModuleFormatError(f"{where}: matrix must be an object")
     extra = set(doc) - _MATRIX_FIELDS
@@ -386,13 +389,13 @@ def _matrix_in(doc, where: str) -> SparseMatrix:
     missing = _MATRIX_FIELDS - set(doc)
     if missing:
         raise ModuleFormatError(f"{where}: missing matrix fields {sorted(missing)}")
-    rows = _expect_natural(doc["rows"], f"{where}.rows")
-    cols = _expect_natural(doc["cols"], f"{where}.cols")
+    r = _expect_natural(doc["rows"], f"{where}.rows")
+    c = _expect_natural(doc["cols"], f"{where}.cols")
     entries = doc["entries"]
-    if not isinstance(entries, (list, _Scanned)) or len(entries) != rows * cols:
-        raise ModuleFormatError(
-            f"{where}: need a list of exactly rows*cols = {rows * cols} entries"
-        )
+    if not isinstance(entries, (list, _Scanned)) or len(entries) != r * c:
+        raise ModuleFormatError(f"{where}: need a list of exactly rows*cols = {r * c} entries")
+    if (r, c) != (rows, cols):
+        raise ModuleFormatError(f"{where} must be {rows}x{cols}")
     mat = SparseMatrix(rows, cols)
     if isinstance(entries, _Scanned):
         pairs = entries.pairs
@@ -424,8 +427,6 @@ def module_from_json(doc) -> FIModule:
         raise ModuleFormatError("name must be a string")
     max_degree = _expect_natural(doc["max_degree"], "max_degree")
     bound = _expect_natural(doc["generation_bound"], "generation_bound")
-    if bound > max_degree:
-        raise ModuleFormatError("generation_bound must lie inside the window")
     dims_doc = doc["dims"]
     if not isinstance(dims_doc, list) or len(dims_doc) != max_degree + 1:
         raise ModuleFormatError(
@@ -443,24 +444,16 @@ def module_from_json(doc) -> FIModule:
     transpositions: list[list[SparseMatrix]] = [[] for _ in range(max_degree + 1)]
     for k in range(2, max_degree + 1):
         block = trans_doc[str(k)]
-        if not isinstance(block, list) or len(block) != k - 1:
+        if not isinstance(block, list):  # its length is FIModule's to check
             raise ModuleFormatError(f"transpositions[{k}] must list {k - 1} matrices")
         for i, m in enumerate(block):
-            mat = _matrix_in(m, f"transpositions[{k}][{i}]")
-            if (mat.rows, mat.cols) != (dims[k], dims[k]):
-                raise ModuleFormatError(
-                    f"transpositions[{k}][{i}] must be {dims[k]}x{dims[k]}"
-                )
-            transpositions[k].append(mat)
+            transpositions[k].append(_matrix_in(m, f"transpositions[{k}][{i}]", dims[k], dims[k]))
     inc_doc = doc["inclusions"]
     if not isinstance(inc_doc, list) or len(inc_doc) != max_degree:
         raise ModuleFormatError(f"inclusions must list {max_degree} matrices")
-    inclusions = []
-    for k, m in enumerate(inc_doc):
-        mat = _matrix_in(m, f"inclusions[{k}]")
-        if (mat.rows, mat.cols) != (dims[k + 1], dims[k]):
-            raise ModuleFormatError(f"inclusions[{k}] must be {dims[k + 1]}x{dims[k]}")
-        inclusions.append(mat)
+    inclusions = [
+        _matrix_in(m, f"inclusions[{k}]", dims[k + 1], dims[k]) for k, m in enumerate(inc_doc)
+    ]
     try:
         return FIModule(doc["name"], max_degree, bound, dims, transpositions, inclusions)
     except ValueError as exc:

@@ -80,8 +80,7 @@ def q_truncation(module: FIModule, n: int, k: int) -> TruncationResult:
     """Level-n truncation at degree k with its comparison map into E(k);
     raises ``ValueError`` when the maps E(incl_S) do not factor through the
     colimit (E is not functorial)."""
-    if not 0 <= k <= module.max_degree:
-        raise WindowError(f"degree {k} outside window 0..{module.max_degree}")
+    module._check_degree(k)
     vertices, colim = _colimit_over_subsets(module, n, k)
     blocks = [evaluate(module, Injection(len(v), k, v)) for v in vertices]
     comparison = _read_off(colim, blocks, module.dims[k])
@@ -102,8 +101,7 @@ def cohomogeneous_layer(module: FIModule, n: int, k: int) -> tuple[int, int]:
     colimit is one of the big colimit."""
     if n < 1:
         raise ValueError("layer index must be at least 1")
-    if not 0 <= k <= module.max_degree:
-        raise WindowError(f"degree {k} outside window 0..{module.max_degree}")
+    module._check_degree(k)
     small_vertices, small = _colimit_over_subsets(module, n - 1, k)
     big_vertices, big = _colimit_over_subsets(module, n, k)
     big_index = {v: i for i, v in enumerate(big_vertices)}

@@ -489,13 +489,55 @@ def test_crashing_cell_is_a_failing_cell(capsys, monkeypatch):
     assert all(cell["passed"] for section in others for cell in section["cells"])
 
 
-@pytest.mark.parametrize("command", [["predict", "--k", "3", "--max-index", "-1"], ["coefficients", "--max-index", "-2"]])
+@pytest.mark.parametrize(
+    "command", [["coefficients", "--max-index", "-1"], ["coefficients", "--max-index", "-2"]]
+)
 def test_negative_max_index_is_a_usage_error(tmp_path, capsys, command):
     path = make_module_file(
         tmp_path, capsys, "representable", "--n", "1", "--max-degree", "4"
     )
     assert main([command[0], str(path), *command[1:]]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ("1,2", "partition must be weakly decreasing: (1, 2)"),
+        ("3,0", "partition parts must be positive: (3, 0)"),
+        ("a,b", "'a,b' is not a comma-separated list of integers"),
+    ],
+)
+def test_a_malformed_partition_is_a_usage_error(capsys, lam, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["kostka", "--lambda", lam, "--mu", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"fi-calc kostka: error: argument --lambda: {message}\n")
+
+
+def test_predict_reads_every_coefficient_up_to_the_generation_bound(tmp_path, capsys):
+    path = make_module_file(tmp_path, capsys, "representable", "--n", "2", "--max-degree", "7")
+    code, out = run(capsys, "predict", str(path), "--k", "12")
+    assert code == 0
+    dimension = sum(
+        row["multiplicity"] * symrep.specht_dimension(tuple(map(int, row["partition"].split(","))))
+        for row in json.loads(out)["multiplicities"]
+    )
+    assert dimension == 12 * 11  # one basis vector of E(12) per injection 2 -> 12
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", str(path), "--k", "12", "--max-index", "1"])
+    assert exc.value.code == 2
+
+
+def test_predict_reports_a_prediction_the_direct_decomposition_refutes(tmp_path, capsys, monkeypatch):
+    path = make_module_file(tmp_path, capsys, "representable", "--n", "1", "--max-degree", "4")
+    monkeypatch.setattr(
+        cli, "dictionary_prediction", lambda profile, k: symrep.RepDecomposition(k, {(k,): 1})
+    )
+    assert main(["predict", str(path), "--k", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "fi-calc predict: prediction at k=3 disagrees with the direct decomposition of representable(1)\n"
+    )
 
 
 @pytest.mark.parametrize(

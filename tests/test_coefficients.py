@@ -704,6 +704,17 @@ def test_coinvariant_cube_is_the_averaged_full_cube():
     assert averaged > 0
 
 
+@pytest.mark.parametrize("build", [CubeStage, delta_complex], ids=["CubeStage", "delta_complex"])
+def test_coinvariant_and_dense_cubes_refuse_a_stage_alike(build):
+    module = representable(1, 3)
+    with pytest.raises(WindowError) as exc:
+        build(module, 2, 2)
+    assert str(exc.value) == "stage 2 of the 2-cube needs degree 4 > window 3"
+    with pytest.raises(ValueError) as exc:
+        build(module, 1, -1)
+    assert str(exc.value) == "cube size and stage must be non-negative"
+
+
 def test_dense_cube_complex_degenerate_and_errors():
     F1 = representable(1, 4)
     c0 = delta_complex(F1, 0, 2)

@@ -145,6 +145,62 @@ def test_constructor_shape_validation():
         FIModule("bad", 1, 0, (1, 2), ((), ()), (SparseMatrix(1, 1),))
 
 
+# (id, the arguments replaced in representable(1, 3)'s, the message)
+FIMODULE_FAULTS = [
+    ("max_degree", lambda m: {"max_degree": -1}, "max_degree must be non-negative"),
+    (
+        "generation_bound",
+        lambda m: {"generation_bound": 4},
+        "representable(1) is generated in degree 4, outside the window 0..3",
+    ),
+    (
+        "dims-length",
+        lambda m: {"dims": m.dims[:-1]},
+        "dims must list one non-negative dimension per degree 0..3",
+    ),
+    (
+        "dims-negative",
+        lambda m: {"dims": (0, 1, 2, -3)},
+        "dims must list one non-negative dimension per degree 0..3",
+    ),
+    (
+        "transposition-count",
+        lambda m: {"transpositions": (*m.transpositions[:3], m.transpositions[3][:1])},
+        "transpositions[3] must list 2 matrices",
+    ),
+    (
+        "transposition-shape",
+        lambda m: {"transpositions": (*m.transpositions[:2], (SparseMatrix(3, 3),), m.transpositions[3])},
+        "transpositions[2][0] must be 2x2",
+    ),
+    ("inclusion-count", lambda m: {"inclusions": m.inclusions[:2]}, "inclusions must list 3 matrices"),
+    (
+        "inclusion-shape",
+        lambda m: {"inclusions": (m.inclusions[0], SparseMatrix(2, 2), m.inclusions[2])},
+        "inclusions[1] must be 2x1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "replace, message", [case[1:] for case in FIMODULE_FAULTS], ids=[case[0] for case in FIMODULE_FAULTS]
+)
+def test_fimodule_names_each_shape_fault_in_the_document_fields(replace, message):
+    m = representable(1, 3)
+    args = {
+        "name": m.name,
+        "max_degree": m.max_degree,
+        "generation_bound": m.generation_bound,
+        "dims": m.dims,
+        "transpositions": m.transpositions,
+        "inclusions": m.inclusions,
+    }
+    assert FIModule(**args).dims == m.dims
+    with pytest.raises(ValueError) as exc:
+        FIModule(**{**args, **replace(m)})
+    assert str(exc.value) == message
+
+
 def test_representable_action_is_postcomposition(f2):
     basis = enumerate_injections(2, 3)
     perm = (1, 2, 0)

@@ -572,6 +572,27 @@ def _traced_peak(call):
     return peak, current
 
 
+@pytest.mark.parametrize(
+    "block, index, message",
+    [
+        (lambda d: d["transpositions"]["2"], 0, "transpositions[2][0] must be 2x2"),
+        (lambda d: d["inclusions"], 1, "inclusions[1] must be 2x1"),
+    ],
+    ids=["transposition", "inclusion"],
+)
+def test_a_mis_shaped_matrix_is_refused_before_it_is_built(block, index, message):
+    doc = module_to_json(representable(1, 3))
+    block(doc)[index] = {"rows": 0, "cols": 10**6, "entries": []}
+
+    def refused():
+        with pytest.raises(ModuleFormatError) as exc:
+            module_from_json(doc)
+        assert str(exc.value) == message
+
+    peak, _ = _traced_peak(refused)
+    assert peak < 1 << 20  # a 0 x 10^6 matrix would hold 10^6 column dicts
+
+
 def test_saving_and_loading_never_hold_a_second_copy_of_the_text(tmp_path):
     module = free_module((2, 1), 8)
     path = tmp_path / "mod.json"
