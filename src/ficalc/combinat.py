@@ -165,6 +165,17 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lens, reverse=True))
 
 
+def check_partition(lam) -> tuple[int, ...]:
+    """lam as a tuple of ints, refused unless its parts are positive and
+    weakly decreasing: the one check of a partition, and so of a cycle type."""
+    lam = tuple(int(x) for x in lam)
+    if any(x <= 0 for x in lam):
+        raise ValueError(f"partition parts must be positive: {lam}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"partition must be weakly decreasing: {lam}")
+    return lam
+
+
 def conjugacy_class_word(cycle_type_: tuple[int, ...]) -> list[int]:
     """A word in adjacent transpositions whose value has the given cycle type.
 
@@ -181,14 +192,9 @@ def conjugacy_class_word(cycle_type_: tuple[int, ...]) -> list[int]:
     >>> conjugacy_class_word((1, 1))
     []
     """
-    parts = tuple(cycle_type_)
-    if any(c < 1 for c in parts):
-        raise ValueError("cycle type parts must be positive")
-    if tuple(sorted(parts, reverse=True)) != parts:
-        raise ValueError("cycle type must be weakly decreasing")
     word = []
     p = 0
-    for c in parts:
+    for c in check_partition(cycle_type_):
         word.extend(range(p + 1, p + c))
         p += c
     return word

@@ -14,18 +14,25 @@ itself; ``is_polynomial`` reads the acyclicity of the full cubes.  One
 routine, ``_induced``, builds every quotient-level block (E(f) on the free
 basis vectors of one quotient, projected onto another): the differentials,
 the coordinate permutations and ``_stage_map``, the extension sum of an
-injection from a stage of one cube to a stage of another.
+injection from a stage of one cube to a stage of another.  It builds each
+block once per module and keeps it, so the cubes of every stage share the
+blocks of their insertions, which depend only on the insert position.
 
 Over the rationals, coinvariants by the tail symmetric group are exact,
 so the stage homology is computed on the quotient complex where each
 summand E(s + k) is divided by the span of v - g.v for the k-1 adjacent
-transpositions that fix the first s points.  Those quotients are small,
-which is what makes window-scale computation feasible: for a
-permutation-like module, such as a representable one, they have one
-dimension per orbit of the tail group on the basis.  ``CoinvariantQuotient``
-finds them by walking those orbits, and eliminates only the relations the
-walk leaves: generator columns with several entries (Specht blocks) and
-orbits that close with an inconsistent factor (signs).
+transpositions s_{s+1} .. s_{s+k-1} that fix the first s points.  Those
+quotients are small, which is what makes window-scale computation
+feasible: for a permutation-like module, such as a representable one, they
+have one dimension per orbit of the tail group on the basis.  The tail
+group of (s, k) is generated by that of (s+1, k-1) and s_{s+1}, so each
+quotient is built from the memoized quotient of (s+1, k-1), its parent, and
+one generator: ``CoinvariantQuotient`` joins the parent's orbits along the
+generator's columns, and eliminates only the relations the walk leaves:
+the parent's, generator columns with several entries (Specht blocks) and
+orbits that close with an inconsistent factor (signs).  The answer is the
+reduced echelon form of the whole span, so it does not depend on the order
+in which the generators were added.
 
 Stabilization: stages are scanned from k = generation bound upward; a
 coefficient is declared stable when two consecutive stages have equal
@@ -74,77 +81,107 @@ from .core import FIModule, InstabilityError, NotStabilizedError, WindowError
 
 class CoinvariantQuotient:
     """E(s+k) modulo W, the span of e_b - g.e_b over the basis vectors e_b
-    and the k-tail transpositions g.
+    and the k-tail transpositions g, the 1-based s+1 .. s+k-1.
 
     ``free`` is the set of coordinates c with e_c not in
     W + span{e_j : j > c}, that is the non-pivots of the reduced echelon form
     of W whose pivots are smallest coordinates, and ``project`` sends v to
-    the unique vector of v + W supported on ``free``.  Two phases find them
-    without eliminating most of W.
+    the unique vector of v + W supported on ``free``.  With no generator
+    (k < 2) W is 0 and ``project`` copies its input.
 
-    1. Walk the orbits.  A generator column with one entry, g.e_x = c.e_y,
-       is an edge e_x = c.e_y modulo W.  From the largest unvisited
-       coordinate down, each orbit of the edges is walked breadth-first from
-       its largest coordinate r, its representative, recording the factor
-       f_x with e_x = f_x.e_r.  Rewriting e_x -> f_x.e_r projects onto the
-       span of the representatives, with kernel spanned by the walked edges.
-    2. Eliminate what is left.  Rewritten onto the representatives, the
-       relations e_x - g.e_x of the columns that are not single entries
-       (Specht blocks, empty columns) go into a ``VectorReducer``, and so
-       does e_r for an orbit with an edge that closes a cycle with another
-       factor (a sign, which kills the orbit in the quotient).
+    The tail group of (s, k) is generated by the tail group of (s+1, k-1),
+    the parent, and s_{s+1}, so W is the parent's W plus W_g, the span of
+    e_x - g.e_x for g = s_{s+1}.  A quotient is built from its memoized
+    parent and the columns of g alone, without eliminating most of W.
 
-    The answer is the full elimination's.  A coordinate c that is not a
-    representative is a pivot, since e_c = f.e_r with r > c.  For a
-    representative r, rewriting turns "e_r in W + span{e_j : j > r}" into
-    "e_r in W' + span{e_t : representatives t > r}", where W' is the span of
-    the rewritten leftover relations, so the free representatives are the
-    non-pivots of W'.  And since v + W meets the span of ``free`` in one
-    vector, rewriting and then reducing by W' finds the same projection.
+    1. Walk the orbits.  The parent rewrites each e_x as f_x.e_r, r its
+       representative, modulo the parent's W.  A column of g with one entry,
+       g.e_x = c.e_y, rewritten through the parent is an edge
+       e_a = (c.f_y/f_x).e_b between the parent's representatives a of x
+       and b of y; an edge from a representative to itself with factor 1
+       says nothing and is dropped.  From the largest representative down,
+       each orbit of the edges is walked breadth-first from its largest
+       coordinate t, recording the factor F_a with e_a = F_a.e_t.  The
+       rewriting e_x -> f_x.F_r.e_t, flattened through the parent, projects
+       onto the span of the new representatives, with kernel spanned by the
+       parent's and the new walked edges, all in W.
+    2. Eliminate what is left.  Rewritten onto the new representatives, the
+       rows of the parent's reducer, the relations e_x - g.e_x of the columns
+       that are not single entries (Specht blocks, empty columns) and e_t
+       for an orbit with an edge that closes a cycle with another factor (a
+       sign, which kills the orbit in the quotient) go into a fresh
+       ``VectorReducer``.  Its span W' is the image of W under the rewriting:
+       W = W_parent + W_g, the parent's rows span the image of W_parent under
+       its own rewriting, and rewriting the parent's then the new
+       representatives is the one rewriting of the composite.
+
+    The answer is the full elimination's, whatever order the generators are
+    taken in.  The rewriting sends e_c to a multiple of e_r with r >= c, and
+    its kernel lies in W.  So a coordinate c that is not a representative
+    is a pivot, and for a representative r, "e_r in W + span{e_j : j > r}"
+    holds exactly when "e_r in W' + span{e_t : representatives t > r}"
+    does: the free representatives are the non-pivots of W'.  And since
+    v + W meets the span of ``free`` in one vector, rewriting and then
+    reducing by W' finds the same projection.
     """
 
     def __init__(self, module: FIModule, s: int, k: int):
         d = module.dims[s + k]
-        edges = [[] for _ in range(d)]  # x -> (y, m) with f_y = f_x * m
-        leftover = []
-        # the tail generators: 1-based s+1 .. s+k-1
-        for g in module.transpositions[s + k][s : s + k - 1]:
-            for x, col in enumerate(g.columns):
-                if len(col) != 1:
-                    leftover.append(vec_add({x: 1}, col, -1))
-                    continue
-                ((y, c),) = col.items()
-                edges[x].append((y, c if c == 1 or c == -1 else 1 / Fraction(c)))
-                edges[y].append((x, c))
-        rep = [-1] * d
-        factor = [1] * d
-        for top in reversed(range(d)):
-            if rep[top] >= 0:
+        self.reducer = VectorReducer()
+        if k < 2:
+            self._rep, self._factor = range(d), (1,) * d
+            self.reducer.freeze()
+            self.free = tuple(range(d))
+            self.index = range(d)
+            self.dim = d
+            self.project = dict
+            return
+        parent = _quotient(module, s + 1, k - 1)
+        prep, pfac = parent._rep, parent._factor
+        edges = {}  # parent representative a -> [(b, m)] with F_b = F_a * m
+        leftover = [row for _, row in parent.reducer.rows()]
+        for x, col in enumerate(module.transpositions[s + k][s].columns):
+            if len(col) != 1:
+                leftover.append(vec_add({x: 1}, col, -1))
+                continue
+            ((y, c),) = col.items()
+            a, b = prep[x], prep[y]
+            m = _ratio(pfac[x], c * pfac[y])  # e_b = m.e_a
+            if a == b and m == 1:
+                continue
+            edges.setdefault(a, []).append((b, m))
+            edges.setdefault(b, []).append((a, _ratio(1, m)))
+        rep, factor = {}, {}  # on the parent representatives an edge touches
+        for top in sorted(edges, reverse=True):
+            if top in rep:
                 continue
             rep[top] = top
+            factor[top] = 1
             orbit = [top]
             consistent = True
-            for x in orbit:
-                for y, m in edges[x]:
-                    fy = factor[x] * m
-                    if rep[y] < 0:
-                        rep[y] = top
-                        factor[y] = fy
-                        orbit.append(y)
-                    elif factor[y] != fy:
+            for a in orbit:
+                for b, m in edges[a]:
+                    fb = factor[a] * m
+                    if b not in rep:
+                        rep[b] = top
+                        factor[b] = fb
+                        orbit.append(b)
+                    elif factor[b] != fb:
                         consistent = False
             if not consistent:
                 leftover.append({top: 1})
-        self._rep = rep
-        self._factor = factor
-        self.reducer = VectorReducer()
+        if rep:
+            self._rep = [rep.get(r, r) for r in prep]
+            self._factor = [f * factor[r] if r in factor else f for r, f in zip(prep, pfac)]
+        else:
+            self._rep, self._factor = prep, pfac
         for w in leftover:
             w = self._rewrite(w)
             if w:
                 self.reducer.insert(w)
         self.reducer.freeze()  # ``project`` only reduces
         pivots = set(self.reducer.pivots())
-        self.free = tuple(c for c in range(d) if rep[c] == c and c not in pivots)
+        self.free = tuple(c for c in range(d) if self._rep[c] == c and c not in pivots)
         self.index = {c: i for i, c in enumerate(self.free)}
         self.dim = len(self.free)
         if self.dim == d:
@@ -163,17 +200,30 @@ class CoinvariantQuotient:
 
     def project(self, vec: dict) -> dict:
         """Coordinates of the image of vec in the quotient basis."""
-        rem = self.reducer.reduce(self._rewrite(vec))
-        return {self.index[c]: v for c, v in rem.items()}
+        rem = self._rewrite(vec)
+        if self.reducer.rank:
+            rem = self.reducer.reduce(rem)
+        index = self.index
+        return {index[c]: v for c, v in rem.items()}
+
+
+def _ratio(p, q):
+    """p / q, an int when q is 1 or -1."""
+    return p * q if q == 1 or q == -1 else Fraction(p) / q
 
 
 def _quotient(module: FIModule, s: int, k: int) -> CoinvariantQuotient:
-    key = (s, k)
-    q = module._coinv_cache.get(key)
-    if q is None:
-        q = CoinvariantQuotient(module, s, k)
-        module._coinv_cache[key] = q
-    return q
+    """The memoized quotient of (s, k).  Missing parents, (s+1, k-1) down to
+    the first one memoized or the identity at k < 2, are built first, from
+    the bottom up, so no build waits on another."""
+    cache = module._coinv_cache
+    chain = [(s, k)]
+    while chain[-1] not in cache and chain[-1][1] >= 2:
+        chain.append((chain[-1][0] + 1, chain[-1][1] - 1))
+    for key in reversed(chain):
+        if key not in cache:
+            cache[key] = CoinvariantQuotient(module, *key)
+    return cache[s, k]
 
 
 def _insertion(subset: tuple[int, ...], x: int, k: int) -> Injection:
@@ -190,12 +240,19 @@ def _insertion_sign(subset: tuple[int, ...], x: int) -> int:
     return -1 if below % 2 else 1
 
 
-def _induced(module: FIModule, f: Injection, src, tgt) -> list[dict]:
+def _induced(module: FIModule, f: Injection, src, tgt) -> tuple[dict, ...]:
     """The columns of E(f) from the quotient ``src`` of E(f.source_size) to
     the quotient ``tgt`` of E(f.target_size): the free basis vectors of
     ``src`` mapped together, each image projected into a vector of its own.
-    Every quotient-level block is built here."""
-    return [tgt.project(v) for v in module.apply_injection(f, [{b: 1} for b in src.free])]
+    Every quotient-level block is built here, once per module: the block is
+    memoized under (f, src, tgt) in the module's cache and shared by every
+    caller, so its columns are only read."""
+    key = (f, src, tgt)
+    block = module._coinv_cache.get(key)
+    if block is None:
+        images = module.apply_injection(f, [{b: 1} for b in src.free])
+        block = module._coinv_cache[key] = tuple(map(tgt.project, images))
+    return block
 
 
 def _cube_complex(module: FIModule, cube: int, k: int, quotient):

@@ -72,7 +72,9 @@ class FIModule:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != max_degree + 1 or any(d < 0 for d in self.dims):
             raise ValueError(f"dims must list one non-negative dimension per degree 0..{max_degree}")
-        self.transpositions = tuple(tuple(m for m in transpositions[k]) for k in range(max_degree + 1))
+        if len(transpositions) != max_degree + 1:
+            raise ValueError(f"transpositions must list one block of matrices per degree 0..{max_degree}")
+        self.transpositions = tuple(tuple(block) for block in transpositions)
         self.inclusions = tuple(inclusions)
         for k, (d, gens) in enumerate(zip(self.dims, self.transpositions)):
             if len(gens) != max(k - 1, 0):
@@ -87,7 +89,8 @@ class FIModule:
                 raise ValueError(f"inclusions[{k}] must be {self.dims[k + 1]}x{self.dims[k]}")
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
-        # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage
+        # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage;
+        # (injection, source quotient, target quotient) -> induced block
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------

@@ -14,11 +14,12 @@ are independent routes, which the test-suite plays against each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import conjugacy_class_word
+from .combinat import check_partition, conjugacy_class_word
 from .exactla import CrossCheckError, SparseMatrix, VectorReducer
 
 Partition = tuple[int, ...]
@@ -30,15 +31,6 @@ class NotACharacterError(ValueError):
 
 class StableRangeError(ValueError):
     """An operation was requested below its stable range."""
-
-
-def check_partition(lam) -> Partition:
-    lam = tuple(int(x) for x in lam)
-    if any(x <= 0 for x in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition must be weakly decreasing: {lam}")
-    return lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,9 +122,10 @@ def action_character(n: int, dim: int, act) -> ClassFunction:
         if word:
             children.setdefault(word[:-1], []).append(word)
     traces = dict.fromkeys(words, 0)
+    zeros = itertools.repeat(0)
 
     def walk(word, images):
-        traces[word] = sum(image.get(b, 0) for b, image in enumerate(images))
+        traces[word] = sum(map(dict.get, images, range(dim), zeros))
         for child in children.get(word, ()):
             walk(child, act(child[-1], images))
 

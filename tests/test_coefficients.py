@@ -252,6 +252,81 @@ def test_orbit_quotient_kills_an_inconsistent_orbit():
             assert CoinvariantQuotient(E, s, k).dim == (0 if k >= 2 else 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: relabel(representable(3, 7), 3), lambda: free_module((2, 2), 7), lambda: _sign_module(7)],
+    ids=["relabelled-representable", "free-2-2", "sign"],
+)
+def test_a_quotient_requested_cold_equals_one_built_after_its_parents(build):
+    """``_quotient`` builds a missing chain of parents itself; the quotient
+    it returns reads as one whose parents were requested first."""
+    for k in range(8):
+        cold = coefficients._quotient(build(), 0, k)
+        warm_module = build()
+        for j in reversed(range(k + 1)):
+            warm = coefficients._quotient(warm_module, j, k - j)
+        assert (cold.free, cold.dim) == (warm.free, warm.dim), k
+        assert [cold.index[c] for c in cold.free] == [warm.index[c] for c in warm.free]
+        for b in range(warm_module.dims[k]):
+            assert cold.project({b: 1}) == warm.project({b: 1}), (k, b)
+
+
+class _CountedColumns:
+    """A generator matrix that records each read of its columns."""
+
+    def __init__(self, matrix, key, reads):
+        self.rows, self.cols = matrix.rows, matrix.cols
+        self._columns, self._key, self._reads = matrix.columns, key, reads
+
+    @property
+    def columns(self):
+        self._reads.append(self._key)
+        return self._columns
+
+
+def test_each_quotient_reads_the_columns_of_one_generator():
+    """A quotient with k >= 2 takes its parent's orbits and relations and
+    adds the one generator s_{s+1}; the identity quotients read none."""
+    for E in (representable(3, 7), free_module((2, 1), 7)):
+        reads = []
+        counted = FIModule(
+            E.name,
+            E.max_degree,
+            E.generation_bound,
+            E.dims,
+            [
+                [_CountedColumns(g, (k, i), reads) for i, g in enumerate(gens, 1)]
+                for k, gens in enumerate(E.transpositions)
+            ],
+            E.inclusions,
+        )
+        for degree in range(E.max_degree + 1):
+            for k in range(degree + 1):
+                s = degree - k
+                reads.clear()
+                q = coefficients._quotient(counted, s, k)
+                assert reads == ([(degree, s + 1)] if k >= 2 else []), (s, k)
+                assert q.free == coefficients._quotient(E, s, k).free
+
+
+def test_induced_blocks_are_memoized_and_left_as_built():
+    """A block is built once per module and returned as the same object; the
+    cubes of a module whose caches are warm read as those of a fresh copy."""
+    E = representable(3, 7)
+    q1, q2 = coefficients._quotient(E, 1, 3), coefficients._quotient(E, 2, 3)
+    f = Injection(4, 5, (0, 2, 3, 4))
+    block = coefficients._induced(E, f, q1, q2)
+    assert coefficients._induced(E, f, q1, q2) is block
+    coefficient_profile(E)
+    fresh = representable(3, 7)
+    for cube, k in ((2, 3), (3, 3), (3, 4)):
+        for warm, cold in (
+            (CubeStage(E, cube, k).complex, CubeStage(fresh, cube, k).complex),
+            (delta_complex(E, cube, k), delta_complex(fresh, cube, k)),
+        ):
+            assert [d.columns for d in warm.differentials] == [d.columns for d in cold.differentials]
+
+
 _SCALARS = (1, -1, 2, Fraction(1, 2))
 
 

@@ -157,9 +157,10 @@ def test_conjugacy_class_words_are_prefix_closed():
 
 
 def test_conjugacy_class_word_validation():
-    with pytest.raises(ValueError):
+    """A cycle type is refused by ``check_partition``, with its message."""
+    with pytest.raises(ValueError, match=r"^partition must be weakly decreasing: \(1, 2\)$"):
         conjugacy_class_word((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^partition parts must be positive: \(0,\)$"):
         conjugacy_class_word((0,))
 
 

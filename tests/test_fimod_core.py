@@ -164,6 +164,11 @@ FIMODULE_FAULTS = [
         "dims must list one non-negative dimension per degree 0..3",
     ),
     (
+        "transposition-blocks",
+        lambda m: {"transpositions": m.transpositions[:2]},
+        "transpositions must list one block of matrices per degree 0..3",
+    ),
+    (
         "transposition-count",
         lambda m: {"transpositions": (*m.transpositions[:3], m.transpositions[3][:1])},
         "transpositions[3] must list 2 matrices",
