@@ -57,6 +57,9 @@ without homology none.
 and on the first cube coordinates, off the single witness stage of the
 (n+i)-cube.
 ``_cube_complex`` is also the one place that refuses a stage outside the window.
+The same per-module cache holds each stage character of the module itself
+(``dictionary.stage_character``) under ("character", k), one
+``ClassFunction`` per stage read.
 """
 
 from __future__ import annotations

@@ -90,7 +90,8 @@ class FIModule:
         self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
         # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage;
-        # (injection, source quotient, target quotient) -> induced block
+        # (injection, source quotient, target quotient) -> induced block;
+        # ("character", k) -> stage character
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------

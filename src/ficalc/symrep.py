@@ -5,10 +5,14 @@ ordering everywhere is reverse-lexicographic, so ``partitions_of(4)`` starts
 at ``(4,)`` and ends at ``(1, 1, 1, 1)``.  Class functions are value tuples
 aligned with that ordering (conjugacy classes = cycle types = partitions).
 
-Irreducible characters come from the rim-hook (beta-set) recursion; Kostka
-numbers from exhaustive semistandard tableau enumeration; Specht matrices
-from standard polytabloids, with coordinates read off one elimination.  These
-are independent routes, which the test-suite plays against each other.
+Irreducible characters come from the Murnaghan-Nakayama rim-hook recursion,
+which removes each rim hook directly on the partition, and each character
+table is built once; Kostka numbers from exhaustive semistandard tableau
+enumeration; Specht matrices from standard polytabloids, with coordinates
+read off one elimination.  These are independent routes, which the
+test-suite plays against each other.  Class-function arithmetic is in
+integers: values are brought to a common denominator and weighted by the
+cached class sizes, and one ``Fraction`` is built per answer.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +61,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 def class_size(cycle_type: Partition) -> int:
     """Size of the conjugacy class with the given cycle type."""
+    cycle_type = check_partition(cycle_type)
     n = sum(cycle_type)
     z = 1
     for length, mult in _multiplicities(cycle_type).items():
@@ -75,13 +81,17 @@ class ClassFunction:
     """A rational class function on the symmetric group of degree n.
 
     ``values[i]`` is the value on the class whose cycle type is
-    ``partitions_of(n)[i]``.
+    ``partitions_of(n)[i]``.  Values are exact: a ``float`` or a ``bool``
+    is refused with a ``TypeError``.
     """
 
     n: int
     values: tuple
 
     def __post_init__(self):
+        for v in self.values:
+            if isinstance(v, (float, bool)):
+                raise TypeError(f"class function values must be exact rationals, not {v!r}")
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         if len(self.values) != len(partitions_of(self.n)):
             raise ValueError("one value per conjugacy class required")
@@ -98,16 +108,29 @@ class ClassFunction:
         return self.values[-1] if self.n > 0 else self.values[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _class_tree(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """The class words of S_n, one per cycle type in ``partitions_of(n)``
+    order, and the map from each word to the words one letter longer that
+    extend it.  ``conjugacy_class_word`` gives prefix-closed words, so this
+    is a tree rooted at the identity's empty word.  Built once per n; the
+    callers only read it."""
+    words = tuple(tuple(conjugacy_class_word(ct)) for ct in partitions_of(n))
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for word in words:
+        if word:
+            children.setdefault(word[:-1], []).append(word)
+    return words, children
+
+
 def action_character(n: int, dim: int, act) -> ClassFunction:
     """Character of an S_n-action on a space of dimension ``dim``, where
     ``act(g, vecs)`` applies the adjacent transposition s_g (g = 1..n-1) to
     each sparse vector of the list ``vecs`` and returns the list of images,
     which it may share with its own data: they are only read.
 
-    The class words of ``conjugacy_class_word`` are prefix-closed, so they
-    form a tree rooted at the identity's empty word, each class one letter
-    below its parent.  The walk goes down that tree depth first with one
-    image list per class, the whole basis under the class's word: one
+    The walk goes down the class tree of ``_class_tree`` depth first, with
+    one image list per class, the whole basis under the class's word: one
     ``act`` of the class's last letter on its parent's list.  So at most
     depth + 1 lists are alive, and each class's value is the trace read off
     its own list.  The image at a class is the basis under its word read
@@ -116,11 +139,7 @@ def action_character(n: int, dim: int, act) -> ClassFunction:
     generators satisfy the Coxeter relations; otherwise they are the traces
     of those words' products, s_{w_m} ... s_{w_1} for the word w_1 ... w_m.
     """
-    words = [tuple(conjugacy_class_word(ct)) for ct in partitions_of(n)]
-    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word in words:
-        if word:
-            children.setdefault(word[:-1], []).append(word)
+    words, children = _class_tree(n)
     traces = dict.fromkeys(words, 0)
     zeros = itertools.repeat(0)
 
@@ -134,13 +153,25 @@ def action_character(n: int, dim: int, act) -> ClassFunction:
     return ClassFunction(n, tuple(traces[word] for word in words))
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers x_i and one d > 0 with values[i] = x_i / d, for a tuple of
+    ``Fraction``s; d is the least common multiple of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
+    """The invariant form <f, g> = (1/n!) sum over classes mu of
+    |mu| f(mu) g(mu); the class functions are real, so nothing is
+    conjugated.  Both value tuples are brought to a common denominator and
+    weighted by the cached class sizes, so the sum runs over integers and
+    one ``Fraction`` is built at the end."""
     if f.n != g.n:
         raise ValueError("class functions live on different groups")
-    total = Fraction(0)
-    for ct, a, b in zip(partitions_of(f.n), f.values, g.values):
-        total += class_size(ct) * a * b
-    return total / math.factorial(f.n)
+    a, a_den = _over_common_denominator(f.values)
+    b, b_den = _over_common_denominator(g.values)
+    total = sum(map(operator.mul, map(operator.mul, _class_sizes(f.n), a), b))
+    return Fraction(total, a_den * b_den * math.factorial(f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,38 +297,41 @@ def kostka(lam: Partition, mu: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# irreducible characters (rim-hook recursion on beta-sets)
+# irreducible characters (rim-hook recursion on the partition)
 # ---------------------------------------------------------------------------
-
-
-def _beta_set(lam: Partition, length: int) -> tuple[int, ...]:
-    padded = lam + (0,) * (length - len(lam))
-    return tuple(padded[i] + (length - 1 - i) for i in range(length))
-
-
-def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
-    desc = sorted(beta, reverse=True)
-    length = len(desc)
-    lam = tuple(desc[i] - (length - 1 - i) for i in range(length))
-    return tuple(x for x in lam if x)
 
 
 @functools.lru_cache(maxsize=None)
 def _mn(lam: Partition, mu: Partition) -> int:
+    """chi^lam on the class mu by the Murnaghan-Nakayama rule: the sum over
+    the rim hooks of length mu_0 in lam of (-1)^(height) chi^(lam - hook) on
+    the rest of mu.  In the beta-set beta_i = lam_i + L - 1 - i (L = len(lam),
+    Macdonald I.1), a rim hook of length t is a bead i moved down to an
+    empty c = beta_i - t >= 0.  With p the first index after i such that
+    beta_p < c, the beads i+1 .. p-1 sit between c and beta_i, so the height
+    is p - 1 - i, and the smaller partition is read off lam directly:
+    lam_0 .. lam_{i-1}, lam_{i+1} - 1, .., lam_{p-1} - 1, c - (L - p),
+    lam_p, .., with its trailing zeros stripped."""
     if not mu:
         return 1 if not lam else 0
     t, rest = mu[0], mu[1:]
-    length = max(len(lam), 1)
-    beta = _beta_set(lam, length)
-    bset = set(beta)
+    length = len(lam)
+    beta = [x + length - 1 - i for i, x in enumerate(lam)]
     total = 0
-    for b in beta:
+    for i, b in enumerate(beta):
         c = b - t
-        if c < 0 or c in bset:
+        if c < 0:  # beta decreases, so every later bead would go below 0 too
+            break
+        p = i + 1
+        while p < length and beta[p] > c:
+            p += 1
+        if p < length and beta[p] == c:
             continue
-        height = sum(1 for x in beta if c < x < b)
-        new_beta = tuple(sorted((bset - {b}) | {c}))
-        total += (-1) ** height * _mn(_partition_from_beta(new_beta), rest)
+        smaller = lam[:i] + tuple(x - 1 for x in lam[i + 1 : p]) + (c - length + p,) + lam[p:]
+        while smaller and not smaller[-1]:
+            smaller = smaller[:-1]
+        value = _mn(smaller, rest)
+        total += -value if (p - 1 - i) % 2 else value
     return total
 
 
@@ -307,12 +341,15 @@ def irreducible_character(lam: Partition, cycle_type: Partition) -> int:
     ct = check_partition(cycle_type)
     if sum(lam) != sum(ct):
         raise ValueError("partition and cycle type must have equal size")
-    return _mn(lam, tuple(sorted(ct, reverse=True)))
+    return _mn(lam, ct)
 
 
 def irreducible_class_function(lam: Partition) -> ClassFunction:
+    """The irreducible character ``lam`` as a class function: its row of
+    ``character_table``."""
+    lam = check_partition(lam)
     n = sum(lam)
-    return ClassFunction(n, tuple(irreducible_character(lam, ct) for ct in partitions_of(n)))
+    return ClassFunction(n, character_table(n)[partitions_of(n).index(lam)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,10 +405,8 @@ def decompose_class_function(f: ClassFunction) -> RepDecomposition:
     The reconstruction identity (the multiplicities re-sum to the input) is
     checked before returning; a failure raises ``CrossCheckError``.
     """
-    den = math.lcm(*(v.denominator for v in f.values))
-    weighted = [
-        z * v.numerator * (den // v.denominator) for z, v in zip(_class_sizes(f.n), f.values)
-    ]
+    numerators, den = _over_common_denominator(f.values)
+    weighted = list(map(operator.mul, _class_sizes(f.n), numerators))
     order = den * math.factorial(f.n)
     table = character_table(f.n)
     mults: dict[Partition, int] = {}

@@ -123,6 +123,34 @@ def test_stage_character_applies_one_transposition_per_class(monkeypatch):
     assert all(n == 42 and sum(p != i for i, p in enumerate(perm)) == 2 for perm, n in calls)
 
 
+def test_stage_characters_are_computed_once_per_module(monkeypatch):
+    calls = []
+    apply = FIModule.apply_permutation
+
+    def counted(self, k, perm, vecs):
+        calls.append(k)
+        return apply(self, k, perm, vecs)
+
+    monkeypatch.setattr(FIModule, "apply_permutation", counted)
+    E = free_module((2, 1), 7)
+    first = stage_character(E, 6)
+    assert calls
+    calls.clear()
+    assert stage_character(E, 6) is first
+    assert calls == []
+    # the stability check reads the characters the decompositions computed
+    tables = {k: stable_decomposition(E, k).nonzero() for k in range(3, 8)}
+    calls.clear()
+    report = representation_stability_check(E, 3)
+    assert calls == []
+    assert report.trajectories[(2, 1)] == tuple(
+        tables[k].get((k - 3, 2, 1), 0) for k in range(3, 8)
+    )
+    # a fresh module computes its own characters
+    assert stage_character(free_module((2, 1), 7), 6) == first
+    assert calls
+
+
 def test_stable_decomposition_examples():
     F1 = representable(1, 8)
     assert stable_decomposition(F1, 5).nonzero() == {(5,): 1, (4, 1): 1}

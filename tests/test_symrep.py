@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,21 @@ def test_class_sizes_sum_to_group_order():
         assert sum(class_size(ct) for ct in partitions_of(n)) == math.factorial(n)
     assert class_size((2, 1)) == 3
     assert class_size((3,)) == 2
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [((0,), "partition parts must be positive: (0,)"),
+     ((1, 2), "partition must be weakly decreasing: (1, 2)")],
+)
+def test_class_size_and_irreducibles_refuse_what_is_not_a_partition(refused, message):
+    with pytest.raises(ValueError) as checked:
+        check_partition(refused)
+    assert str(checked.value) == message
+    for call in (class_size, irreducible_class_function):
+        with pytest.raises(ValueError) as excinfo:
+            call(refused)
+        assert str(excinfo.value) == message
 
 
 def test_conjugate_partition():
@@ -144,13 +160,79 @@ def test_character_table_rows():
             assert table[i] == tuple(irreducible_character(lam, ct) for ct in parts)
 
 
+def column_orthogonality_failures(n):
+    """The pairs of classes (mu, nu) of S_n at which the columns of
+    ``character_table(n)`` break sum_lam chi^lam(mu) chi^lam(nu) =
+    delta_{mu nu} n! / |class mu|."""
+    columns = list(zip(*character_table(n)))
+    parts = partitions_of(n)
+    return [
+        (mu, nu)
+        for i, mu in enumerate(parts)
+        for j, nu in enumerate(parts)
+        if sum(map(operator.mul, columns[i], columns[j]))
+        != (math.factorial(n) // class_size(mu) if i == j else 0)
+    ]
+
+
+def row_orthonormality_failures(n):
+    """The pairs (lam, rho) of partitions of n whose irreducible class
+    functions have ``inner_product`` other than delta_{lam rho}."""
+    parts = partitions_of(n)
+    chars = [irreducible_class_function(lam) for lam in parts]
+    return [
+        (a, b)
+        for a, fa in zip(parts, chars)
+        for b, fb in zip(parts, chars)
+        if inner_product(fa, fb) != (a == b)
+    ]
+
+
 def test_character_orthogonality():
-    for n in range(7):
-        for a in partitions_of(n):
-            fa = irreducible_class_function(a)
-            for b in partitions_of(n):
-                expected = Fraction(1 if a == b else 0)
-                assert inner_product(fa, irreducible_class_function(b)) == expected
+    for n in range(11):
+        assert column_orthogonality_failures(n) == [], n
+    for n in range(9):
+        assert row_orthonormality_failures(n) == [], n
+
+
+# sha256 of json.dumps([character_table(n) for n in range(13)])
+CHARACTER_TABLE_DIGEST = "d0517ee6a38a73bb6f39c71db8d7f3611dcf7450ffdc0e11fe29d8494407fe9e"
+
+
+def test_character_tables_are_pinned_by_digest():
+    tables = [character_table(n) for n in range(13)]
+    assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == CHARACTER_TABLE_DIGEST
+    # each irreducible class function is its row of the table
+    for lam, row in zip(partitions_of(7), tables[7]):
+        assert irreducible_class_function(lam).values == row
+
+
+_RATIONALS = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+_CLASS_FUNCTION_PAIRS = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *[st.lists(_RATIONALS, min_size=len(partitions_of(n)), max_size=len(partitions_of(n)))] * 2,
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CLASS_FUNCTION_PAIRS)
+def test_inner_product_is_the_class_size_sum(case):
+    n, a, b = case
+    f, g = ClassFunction(n, a), ClassFunction(n, b)
+    reference = sum(
+        (class_size(ct) * x * y for ct, x, y in zip(partitions_of(n), f.values, g.values)),
+        Fraction(0),
+    ) / math.factorial(n)
+    got = inner_product(f, g)
+    assert got == reference and type(got) is Fraction
+    assert inner_product(g, f) == got
+    other = ClassFunction(n + 1, (0,) * len(partitions_of(n + 1)))
+    with pytest.raises(ValueError, match="different groups"):
+        inner_product(f, other)
 
 
 def test_regular_character_fixed_point_oracle():
@@ -234,6 +316,15 @@ def test_class_function_dimension():
     assert chi.dimension == 2
     assert chi((1, 1, 1)) == 2
     assert chi((3,)) == -1
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1.0, True, False])
+def test_class_function_refuses_floats_and_bools(inexact):
+    with pytest.raises(TypeError) as excinfo:
+        ClassFunction(2, (inexact, 1))
+    assert repr(inexact) in str(excinfo.value)
+    exact = ClassFunction(2, (Fraction(1, 10), 1))
+    assert exact.values == (Fraction(1, 10), 1) and type(exact.values[1]) is Fraction
 
 
 @pytest.mark.parametrize("cycle_type", [(2, 2), (2,), ()])
