@@ -167,8 +167,13 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 def check_partition(lam) -> tuple[int, ...]:
     """lam as a tuple of ints, refused unless its parts are positive and
-    weakly decreasing: the one check of a partition, and so of a cycle type."""
-    lam = tuple(int(x) for x in lam)
+    weakly decreasing: the one check of a partition, and so of a cycle type.
+    A part that is not an ``int``, or is a ``bool``, is refused with a
+    ``TypeError``, not converted."""
+    lam = tuple(lam)
+    for x in lam:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"partition parts must be ints, not {x!r}: {lam}")
     if any(x <= 0 for x in lam):
         raise ValueError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

@@ -231,7 +231,8 @@ class SparseMatrix:
         out = []
         for vec in vecs:
             if len(vec) == 1:
-                ((j, c),) = vec.items()
+                for j in vec:  # its one entry, read without an items view
+                    c = vec[j]
                 col = columns[j]
                 out.append(col if c == 1 else {i: c * x for i, x in col.items()})
             else:

@@ -30,9 +30,13 @@ quotient is built from the memoized quotient of (s+1, k-1), its parent, and
 one generator: ``CoinvariantQuotient`` joins the parent's orbits along the
 generator's columns, and eliminates only the relations the walk leaves:
 the parent's, generator columns with several entries (Specht blocks) and
-orbits that close with an inconsistent factor (signs).  The answer is the
-reduced echelon form of the whole span, so it does not depend on the order
-in which the generators were added.
+orbits that close with an inconsistent factor (signs).  The generator is
+walked only at the free coordinates of the grandparent (s+2, k-2), whose
+generators it commutes with by the far Coxeter relations (checked by
+``validate``); the relations at the other coordinates follow from those and
+the parent's.  On a module with those relations the answer is the reduced
+echelon form of the whole span, so it does not depend on the order in which
+the generators were added; off one it is that of the walked relations.
 
 Stabilization: stages are scanned from k = generation bound upward; a
 coefficient is declared stable when two consecutive stages have equal
@@ -65,6 +69,7 @@ The same per-module cache holds each stage character of the module itself
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +102,18 @@ class CoinvariantQuotient:
     e_x - g.e_x for g = s_{s+1}.  A quotient is built from its memoized
     parent and the columns of g alone, without eliminating most of W.
 
+    0. Only the grandparent's free coordinates.  The grandparent (s+2, k-2)
+       has the generators s_{s+3} .. s_{s+k-1}, which commute with g (the
+       far Coxeter relations, which ``validate`` checks), so g maps its span
+       W_K into itself.  Write e_x = sum a_c.e_c + w, c over the
+       grandparent's free coordinates and w in W_K, which lies in the
+       parent's W.  Then e_x - g.e_x = sum a_c.(e_c - g.e_c) + (w - g.w)
+       with w - g.w in W_K: modulo the parent's W, every relation of g is a
+       combination of those at the grandparent's free coordinates, and only
+       those columns of g are read (all of them for k <= 3, where the
+       grandparent has no generator).  Without the far relations, W below
+       means the parent's W plus the walked relations, a span that may be
+       smaller, and what follows holds for it.
     1. Walk the orbits.  The parent rewrites each e_x as f_x.e_r, r its
        representative, modulo the parent's W.  A column of g with one entry,
        g.e_x = c.e_y, rewritten through the parent is an edge
@@ -118,14 +135,17 @@ class CoinvariantQuotient:
        its own rewriting, and rewriting the parent's then the new
        representatives is the one rewriting of the composite.
 
-    The answer is the full elimination's, whatever order the generators are
+    The answer is the reduced echelon form of W: on a module with the far
+    relations, the full elimination's, whatever order the generators are
     taken in.  The rewriting sends e_c to a multiple of e_r with r >= c, and
     its kernel lies in W.  So a coordinate c that is not a representative
     is a pivot, and for a representative r, "e_r in W + span{e_j : j > r}"
     holds exactly when "e_r in W' + span{e_t : representatives t > r}"
-    does: the free representatives are the non-pivots of W'.  And since
-    v + W meets the span of ``free`` in one vector, rewriting and then
-    reducing by W' finds the same projection.
+    does: the free representatives are the non-pivots of W'.  They are read
+    off the parent's ``free``, since W contains the parent's W and so has no
+    free coordinate the parent lacks.  And since v + W meets the span of
+    ``free`` in one vector, rewriting and then reducing by W' finds the same
+    projection.
     """
 
     def __init__(self, module: FIModule, s: int, k: int):
@@ -141,13 +161,18 @@ class CoinvariantQuotient:
             return
         parent = _quotient(module, s + 1, k - 1)
         prep, pfac = parent._rep, parent._factor
+        # step 0: the grandparent's free coordinates
+        walked = _quotient(module, s + 2, k - 2).free if k > 2 else range(d)
+        columns = module.transpositions[s + k][s].columns
         edges = {}  # parent representative a -> [(b, m)] with F_b = F_a * m
         leftover = [row for _, row in parent.reducer.rows()]
-        for x, col in enumerate(module.transpositions[s + k][s].columns):
+        for x in walked:
+            col = columns[x]
             if len(col) != 1:
                 leftover.append(vec_add({x: 1}, col, -1))
                 continue
-            ((y, c),) = col.items()
+            for y in col:  # its one entry
+                c = col[y]
             a, b = prep[x], prep[y]
             m = _ratio(pfac[x], c * pfac[y])  # e_b = m.e_a
             if a == b and m == 1:
@@ -174,8 +199,8 @@ class CoinvariantQuotient:
             if not consistent:
                 leftover.append({top: 1})
         if rep:
-            self._rep = [rep.get(r, r) for r in prep]
-            self._factor = [f * factor[r] if r in factor else f for r, f in zip(prep, pfac)]
+            self._rep = list(map(rep.get, prep, prep))
+            self._factor = list(map(operator.mul, pfac, map(factor.get, prep, itertools.repeat(1))))
         else:
             self._rep, self._factor = prep, pfac
         for w in leftover:
@@ -184,7 +209,7 @@ class CoinvariantQuotient:
                 self.reducer.insert(w)
         self.reducer.freeze()  # ``project`` only reduces
         pivots = set(self.reducer.pivots())
-        self.free = tuple(c for c in range(d) if self._rep[c] == c and c not in pivots)
+        self.free = tuple(c for c in parent.free if self._rep[c] == c and c not in pivots)
         self.index = {c: i for i, c in enumerate(self.free)}
         self.dim = len(self.free)
         if self.dim == d:

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,25 @@ def test_orbit_quotient_of_relabelled_representable_matches_full_elimination():
     assert quotient_mismatches(relabel(representable(3, 7), 2), 4) == []
 
 
+@pytest.mark.parametrize(
+    "build, fractions",
+    [
+        (lambda: rescaled(free_module((2, 1), 7), 2), True),
+        (lambda: rescaled(relabel(representable(3, 7), 4), 3), True),
+        (lambda: relabel(free_module((2, 2), 8), 5), False),
+    ],
+    ids=["rescaled-free-2-1", "rescaled-relabelled-representable", "relabelled-free-2-2"],
+)
+def test_orbit_quotient_with_fraction_factors_matches_full_elimination(build, fractions):
+    """A rescaled basis vector gives generator entries 2 and 1/2 (or 3 and
+    1/3), so orbit factors are ``Fraction``s; a relabelled basis moves the
+    grandparent's free coordinates, where each generator is walked."""
+    E = build()
+    assert quotient_mismatches(E, 4) == []
+    factors = (f for s in range(5) for k in range(E.max_degree - s + 1) for f in CoinvariantQuotient(E, s, k)._factor)
+    assert any(type(f) is Fraction for f in factors) == fractions
+
+
 def test_orbit_quotient_kills_an_inconsistent_orbit():
     """The sign module's tail swap sends e to -e, a cycle whose factor is not
     1, so every quotient with a tail generator (k >= 2) is zero."""
@@ -284,22 +304,43 @@ class _CountedColumns:
         return self._columns
 
 
+class _CountedList(list):
+    """A list of columns that records the index of each column read from it,
+    by index or by iteration."""
+
+    def __init__(self, columns, reads):
+        super().__init__(columns)
+        self._reads = reads
+
+    def __getitem__(self, x):
+        self._reads.append(x)
+        return super().__getitem__(x)
+
+    def __iter__(self):
+        for x, col in enumerate(super().__iter__()):
+            self._reads.append(x)
+            yield col
+
+
+def _with_generators(E, wrap) -> FIModule:
+    """E with each generator matrix g, s_i of degree k, replaced by
+    ``wrap(g, (k, i))``."""
+    return FIModule(
+        E.name,
+        E.max_degree,
+        E.generation_bound,
+        E.dims,
+        [[wrap(g, (k, i)) for i, g in enumerate(gens, 1)] for k, gens in enumerate(E.transpositions)],
+        E.inclusions,
+    )
+
+
 def test_each_quotient_reads_the_columns_of_one_generator():
     """A quotient with k >= 2 takes its parent's orbits and relations and
     adds the one generator s_{s+1}; the identity quotients read none."""
     for E in (representable(3, 7), free_module((2, 1), 7)):
         reads = []
-        counted = FIModule(
-            E.name,
-            E.max_degree,
-            E.generation_bound,
-            E.dims,
-            [
-                [_CountedColumns(g, (k, i), reads) for i, g in enumerate(gens, 1)]
-                for k, gens in enumerate(E.transpositions)
-            ],
-            E.inclusions,
-        )
+        counted = _with_generators(E, lambda g, key: _CountedColumns(g, key, reads))
         for degree in range(E.max_degree + 1):
             for k in range(degree + 1):
                 s = degree - k
@@ -307,6 +348,28 @@ def test_each_quotient_reads_the_columns_of_one_generator():
                 q = coefficients._quotient(counted, s, k)
                 assert reads == ([(degree, s + 1)] if k >= 2 else []), (s, k)
                 assert q.free == coefficients._quotient(E, s, k).free
+
+
+def test_each_quotient_walks_its_generator_on_the_grandparents_free_coordinates():
+    """The quotient (s, k) reads the columns of s_{s+1} only at the free
+    coordinates of its grandparent (s+2, k-2), all of them for k <= 3: the
+    degree-9 chain of representable(4, 9), s = 0..7, reads 9,828 columns of
+    E(9) (dim 3,024), where a walk of every column read 8 x 3,024 = 24,192."""
+    E = representable(4, 9)
+    reads = []
+    counted = _with_generators(
+        E, lambda g, key: SimpleNamespace(rows=g.rows, cols=g.cols, columns=_CountedList(g.columns, reads))
+    )
+    total = 0
+    for s in reversed(range(8)):
+        k = 9 - s
+        reads.clear()
+        q = coefficients._quotient(counted, s, k)
+        walked = coefficients._quotient(E, s + 2, k - 2).free if k > 2 else range(E.dims[9])
+        assert reads == list(walked), (s, k)
+        assert q.free == coefficients._quotient(E, s, k).free
+        total += len(reads)
+    assert E.dims[9] == 3024 and total == 9828
 
 
 def test_induced_blocks_are_memoized_and_left_as_built():
@@ -330,22 +393,36 @@ def test_induced_blocks_are_memoized_and_left_as_built():
 _SCALARS = (1, -1, 2, Fraction(1, 2))
 
 
+def _generator_shaped_columns(draw, d: int) -> list[dict]:
+    """The columns of a d x d matrix: empty, a single entry with a scalar in
+    ±1, 2, 1/2, or several entries."""
+    rows = st.integers(0, max(d - 1, 0))
+    entry = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=1, max_size=1)
+    several = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=min(d, 2), max_size=3)
+    column = st.one_of(entry, entry, entry, several, st.just({}))
+    return [draw(column) for _ in range(d)]
+
+
 @st.composite
 def _generator_shaped_modules(draw):
-    """Windows of arbitrary matrices in the shape of an FIModule: columns
-    are empty, single entries with a scalar in ±1, 2, 1/2, or several."""
+    """Windows of arbitrary matrices in the shape of an FIModule, except
+    that the one far pair of the window, s_1 and s_3 in degree 4, commutes,
+    as the orbit quotients assume: s_1 = A (x) 1 and s_3 = 1 (x) B on a
+    factorization d = a.b, in a random basis order."""
     max_degree = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(0, 6), min_size=max_degree + 1, max_size=max_degree + 1))
     transpositions = []
     for k, d in enumerate(dims):
-        gens = []
-        for _ in range(max(k - 1, 0)):
-            rows = st.integers(0, max(d - 1, 0))
-            entry = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=1, max_size=1)
-            several = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=min(d, 2), max_size=3)
-            column = st.one_of(entry, entry, entry, several, st.just({}))
-            gens.append(SparseMatrix(d, d, [draw(column) for _ in range(d)]))
-        transpositions.append(gens)
+        gens = [_generator_shaped_columns(draw, d) for _ in range(max(k - 1, 0))]
+        if k == 4 and d:
+            a = draw(st.sampled_from([f for f in range(1, d + 1) if d % f == 0]))
+            b = d // a
+            A, B = _generator_shaped_columns(draw, a), _generator_shaped_columns(draw, b)
+            at = draw(st.permutations(range(d)))  # the position of (i, j) is at[i * b + j]
+            for i, j in itertools.product(range(a), range(b)):
+                gens[0][at[i * b + j]] = {at[r * b + j]: x for r, x in A[i].items()}
+                gens[2][at[i * b + j]] = {at[i * b + r]: x for r, x in B[j].items()}
+        transpositions.append([SparseMatrix(d, d, columns) for columns in gens])
     inclusions = [SparseMatrix(dims[k + 1], dims[k]) for k in range(max_degree)]
     return FIModule("random", max_degree, 0, dims, transpositions, inclusions)
 
@@ -353,7 +430,35 @@ def _generator_shaped_modules(draw):
 @settings(max_examples=60, deadline=None)
 @given(_generator_shaped_modules())
 def test_orbit_quotient_of_random_generators_matches_full_elimination(E):
+    if E.max_degree == 4:
+        s1, _, s3 = E.transpositions[4]
+        assert s1.compose(s3).columns == s3.compose(s1).columns
     assert quotient_mismatches(E, E.max_degree) == []
+
+
+def test_off_a_representation_the_quotient_is_spanned_by_the_walked_relations():
+    """s_1 = (0 2) and s_3 = (0 1)(2 3) do not commute, so the relation
+    e_0 - e_2 of s_1, at coordinates that are not free in the quotient by
+    s_3, is neither walked nor implied: the quotient of (0, 4) keeps e_1 and
+    e_3 apart, where full elimination joins them."""
+
+    def perm(*images):
+        return SparseMatrix(4, 4, [{y: 1} for y in images])
+
+    dims = (0, 0, 0, 0, 4)
+    E = FIModule(
+        "far pair not commuting",
+        4,
+        0,
+        dims,
+        [[SparseMatrix(d, d)] * max(k - 1, 0) for k, d in enumerate(dims[:4])]
+        + [[perm(2, 1, 0, 3), perm(0, 1, 2, 3), perm(1, 0, 3, 2)]],
+        [SparseMatrix(dims[k + 1], dims[k]) for k in range(4)],
+    )
+    assert "degree 4: Coxeter commutation fails at generators (1, 3)" in validate(E).violations
+    assert CoinvariantQuotient(E, 0, 4).free == (1, 3)
+    assert _live_reducer(E, 0, 4).rank == 3
+    assert quotient_mismatches(E, 4) == [(0, 4, None)]
 
 
 def test_transition_along_identity_is_identity():

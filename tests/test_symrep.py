@@ -88,6 +88,26 @@ def test_class_size_and_irreducibles_refuse_what_is_not_a_partition(refused, mes
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [((2.5, 1), "partition parts must be ints, not 2.5: (2.5, 1)"),
+     ((2.9, 1.2), "partition parts must be ints, not 2.9: (2.9, 1.2)"),
+     ((2.0,), "partition parts must be ints, not 2.0: (2.0,)"),
+     ((True,), "partition parts must be ints, not True: (True,)"),
+     ((2, True), "partition parts must be ints, not True: (2, True)"),
+     ((Fraction(2),), "partition parts must be ints, not Fraction(2, 1): (Fraction(2, 1),)"),
+     (("2", "1"), "partition parts must be ints, not '2': ('2', '1')")],
+)
+def test_a_part_that_is_not_an_int_is_refused_not_converted(refused, message):
+    """A float part was truncated (``class_size((2.9, 1.2))`` read 3) and a
+    bool passed as 0 or 1; every partition check now refuses them."""
+    for call in (check_partition, class_size, irreducible_class_function, ClassFunction(3, (1, 1, 1))):
+        with pytest.raises(TypeError) as excinfo:
+            call(refused)
+        assert str(excinfo.value) == message
+    assert check_partition(iter([2, 1])) == (2, 1)
+
+
 def test_conjugate_partition():
     assert conjugate_partition((3, 1)) == (2, 1, 1)
     assert conjugate_partition(()) == ()
