@@ -52,8 +52,9 @@ print("truncation at level 1, degree 4:",
 print("truncation at level 2, degree 4 iso:",
       q_truncation(F2, 2, 4).is_isomorphism)
 
-# Differences shift coefficients: the i-th coefficient of the n-fold
-# difference matches the (n+i)-th coefficient restricted to an i-block.
+# Derivatives shift coefficients: the i-th coefficient of the n-th
+# derivative D^n E = coker(E -> SE), iterated, is computed on a module of
+# its own and matches the (n+i)-th coefficient of E restricted to an i-block.
 result = delta_coefficient_shift_check(F2, 1, 1)
 print("shift check (n=1, i=1): dims", result.lhs.dims,
       "equal:", result.equal)

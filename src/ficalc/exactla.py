@@ -402,9 +402,7 @@ def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
     The projection has full row rank, kills the image of ``a``, and its
     restriction to the chosen complement is the identity.  The complement is
     the lexicographically first maximal set of standard basis vectors that is
-    independent modulo the image, so every other basis vector projects into
-    the span of the complement vectors before it: the q-th complement vector
-    is the first column of the projection with a nonzero entry in row q.
+    independent modulo the image; ``complement`` reads it off the projection.
     """
     red = _span(a.columns)
     q = 0
@@ -417,6 +415,19 @@ def cokernel(a: SparseMatrix) -> tuple[int, SparseMatrix]:
         else:
             columns.append({t - a.rows: -x for t, x in rem.items()})
     return q, SparseMatrix(q, a.rows, columns)
+
+
+def complement(columns: Iterable[SparseVec]) -> list[int]:
+    """The complement ``cokernel`` chose, read off the ``columns`` of its
+    projection: entry q is the index of the q-th complement vector.  Every
+    other basis vector projects into the span of the complement vectors
+    before it, so the q-th complement vector is the first column with a
+    nonzero entry in row q."""
+    out: list[int] = []
+    for j, col in enumerate(columns):
+        if len(out) in col:
+            out.append(j)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -47,19 +47,21 @@ later stage is the witness, and the scan (``_stable_stage``) returns it as a
 ``CubeStage``; a coefficient's dims and characters are read off that stage.
 The witness is memoized per module, next to its coinvariant quotients, so
 each module scans each cube once: ``taylor_coefficient``, the profile (and
-its transitions at that stage) and every shift check share one witness.  The
-stages scanned before a witness are not kept, and a cube that does not
-stabilize is scanned again on every call.  The stages that transitions build
-are memoized in the same cache, so consecutive transitions of a profile, and
-later transitions of the module, share the stages they have in common.
+its transitions at that stage) and the left side of every shift check share
+one witness.  The stages scanned before a witness are not kept, and a cube
+that does not stabilize is scanned again on every call.  The stages that
+transitions build are memoized in the same cache, so consecutive transitions
+of a profile, and later transitions of the module, share the stages they
+have in common.
 Characters walk the class tree of ``action_character`` over the homology
 matrices of adjacent transpositions of cube coordinates, which each stage
 builds on first use and keeps (``CubeStage.homology_generator``), so a degree
 costs at most one ``action_matrix`` per generator and stage, and a degree
 without homology none.
-``delta_coefficient_shift_check`` reads both of its characters, on the last
-and on the first cube coordinates, off the single witness stage of the
-(n+i)-cube.
+``delta_coefficient_shift_check`` compares two independent computations of
+the shift theorem: ``shifted_coefficient`` on the (n+i)-cube of the module,
+and ``taylor_coefficient`` of index i of its n-th ``core.derivative``, a
+module of its own with its own cache.
 ``_cube_complex`` is also the one place that refuses a stage outside the window.
 The same per-module cache holds each stage character of the module itself
 (``dictionary.stage_character``) under ("character", k), one
@@ -83,8 +85,8 @@ from ..exactla import (
     rank,
     vec_add,
 )
-from ..symrep import ClassFunction, action_character
-from .core import FIModule, InstabilityError, NotStabilizedError, WindowError
+from ..symrep import ClassFunction, action_character, partitions_of
+from .core import FIModule, InstabilityError, NotStabilizedError, WindowError, derivative
 
 
 class CoinvariantQuotient:
@@ -422,8 +424,9 @@ class GradedCoefficient:
     """Stable coinvariant homology of a cross-effect cube.
 
     ``characters[i]`` is the character of the coordinate-permutation action
-    on degree-i homology; for the shifted variant the action group is the
-    block of cube coordinates past the shift.
+    on degree-i homology, one per degree 0 .. ``cube``; for
+    ``shifted_coefficient`` the action group is the symmetric group of the
+    last ``action_size`` cube coordinates.
     """
 
     cube: int
@@ -492,6 +495,11 @@ def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
 
 @dataclass(frozen=True)
 class ShiftCheckResult:
+    """The two sides of the shift theorem: ``lhs`` is the
+    ``shifted_coefficient``, and ``rhs_dims`` and ``rhs_characters`` are
+    those of the i-th coefficient of the n-th derivative, with n zero
+    degrees appended.  ``equal`` compares the characters in every degree."""
+
     lhs: GradedCoefficient
     rhs_dims: tuple[int, ...]
     rhs_characters: tuple[ClassFunction, ...]
@@ -499,17 +507,17 @@ class ShiftCheckResult:
 
 
 def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftCheckResult:
-    """Compare two characters of S_i on one witness stage of the (n+i)-cube:
-    acting on the last i cube coordinates (the ``shifted_coefficient``) and
-    on the first i.  The second has the values the padded classes ct + 1^n
-    of S_{n+i} take, since ``conjugacy_class_word`` gives them the same
-    word.  The two actions are conjugate, so this checks that
-    ``CubeStage.homology_trace`` is a class function; it is not an
-    independent check of the shift theorem, which would take the i-th
-    coefficient of the n-fold difference module itself."""
+    """Check C_i(D^n E) = C_{n+i}(E) restricted to S_i, where D is the
+    derivative (Church-Ellenberg-Farb): compare the ``shifted_coefficient``
+    of the module with the ``taylor_coefficient`` of index i of its n-th
+    ``derivative``.  The latter's i-cube has n degrees fewer than the
+    (n+i)-cube; they are padded with zero dims and zero characters of S_i."""
     lhs = shifted_coefficient(module, n, i)
-    rhs = _coefficient(_stable_stage(module, n + i), 0, i)
-    return ShiftCheckResult(lhs, rhs.dims, rhs.characters, lhs.characters == rhs.characters)
+    for _ in range(n):
+        module = derivative(module)
+    rhs = taylor_coefficient(module, i)
+    characters = rhs.characters + (ClassFunction(i, (0,) * len(partitions_of(i))),) * n
+    return ShiftCheckResult(lhs, rhs.dims + (0,) * n, characters, lhs.characters == characters)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from ..combinat import (
     factor_injection,
     word_from_permutation,
 )
-from ..exactla import SparseMatrix
+from ..exactla import SparseMatrix, cokernel, complement
 from ..symrep import Partition, check_partition, specht_dimension, specht_matrices
 
 
@@ -46,6 +46,10 @@ class InstabilityError(RuntimeError):
 
 class ModuleFormatError(ValueError):
     """A serialized module violates the interchange schema."""
+
+
+class NotInjectiveError(ValueError):
+    """A module map that a construction needs injective is not."""
 
 
 class FIModule:
@@ -91,7 +95,7 @@ class FIModule:
         self._factor_cache: dict[Injection, tuple[int, ...]] = {}
         # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage;
         # (injection, source quotient, target quotient) -> induced block;
-        # ("character", k) -> stage character
+        # ("character", k) -> stage character; ("derivative",) -> ``derivative``
         self._coinv_cache: dict = {}
 
     # -- evaluation ------------------------------------------------------
@@ -224,6 +228,52 @@ def free_module(lam: Partition, max_degree: int) -> FIModule:
 
 def zero_module(max_degree: int) -> FIModule:
     return _assemble("zero", max_degree, 0, [[]] * (max_degree + 1), None)
+
+
+def derivative(module: FIModule) -> FIModule:
+    """The derivative DE = coker(E -> SE) (Church-Ellenberg-Farb), on the
+    window 0..K-1, generated in degree one below E's; built once per module.
+
+    The shift (SE)(k) is E(k+1) with a new point at 0: its generators are
+    s_2 .. s_k of E(k+1), its inclusions E's from k+1, and E -> SE is E(iota)
+    for iota(p) = p + 1.  ``cokernel`` of E(iota): E(k) -> E(k+1) gives the
+    projection P_k and ``complement`` its complement J_k, and each structure
+    map of DE is P (E's matrix) J.  Its columns are those ``apply_columns``
+    returns, so they may be P's and be shared between the matrices: like
+    every structure map they are read only.  A window-0 module raises
+    ``WindowError`` and a degree where E(iota) is not injective, read off
+    dim coker = d_{k+1} - d_k, ``NotInjectiveError``.
+    """
+    key = ("derivative",)
+    if key in module._coinv_cache:
+        return module._coinv_cache[key]
+    if not module.max_degree:
+        raise WindowError(f"the derivative of {module.name} needs degree 1 > window 0")
+    projections, complements = [], []
+    for k in range(module.max_degree):
+        dim, projection = cokernel(evaluate(module, Injection(k, k + 1, tuple(range(1, k + 1)))))
+        if dim != module.dims[k + 1] - module.dims[k]:
+            raise NotInjectiveError(
+                f"{module.name}: the map of degree {k} into the shift is not injective"
+            )
+        projections.append(projection)
+        complements.append(complement(projection.columns))
+
+    def restrict(k, matrix, l):  # P_l (matrix) J_k
+        out = SparseMatrix(projections[l].rows, len(complements[k]))
+        out.columns = projections[l].apply_columns([matrix.columns[c] for c in complements[k]])
+        return out
+
+    top = module.max_degree - 1
+    module._coinv_cache[key] = FIModule(
+        f"derivative({module.name})",
+        top,
+        max(module.generation_bound - 1, 0),
+        [len(c) for c in complements],
+        [[restrict(k, g, k) for g in module.transpositions[k + 1][1:]] for k in range(top + 1)],
+        [restrict(k, module.inclusions[k + 1], k + 1) for k in range(top)],
+    )
+    return module._coinv_cache[key]
 
 
 # ---------------------------------------------------------------------------

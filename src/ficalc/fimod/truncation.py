@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..combinat import Injection, enumerate_injections
-from ..exactla import PosetColimit, SparseMatrix, homology, poset_colimit, rank
+from ..exactla import PosetColimit, SparseMatrix, complement, homology, poset_colimit, rank
 from .coefficients import _insertion, delta_complex
 from .core import FIModule, WindowError, evaluate
 
@@ -66,14 +66,10 @@ def _colimit_over_subsets(module: FIModule, n: int, k: int):
 
 def _read_off(colim: PosetColimit, blocks: list[SparseMatrix], rows: int) -> SparseMatrix:
     """The map out of the colimit whose column q is the ``blocks`` column (one
-    block per vertex, in vertex order) of the q-th complement vector: the
-    first vertex basis vector whose image reaches row q."""
-    columns = []
-    for psi, block in zip(colim.structure_maps, blocks):
-        for image, value in zip(psi.columns, block.columns):
-            if len(columns) in image:
-                columns.append(value)
-    return SparseMatrix(rows, colim.dimension, columns)
+    block per vertex, in vertex order) of the q-th complement vector."""
+    projection = [image for psi in colim.structure_maps for image in psi.columns]
+    values = [value for block in blocks for value in block.columns]
+    return SparseMatrix(rows, colim.dimension, [values[j] for j in complement(projection)])
 
 
 def q_truncation(module: FIModule, n: int, k: int) -> TruncationResult:

@@ -219,16 +219,12 @@ def _tableau_count(lam: Partition, memo: dict | None = None) -> int:
     """The number of standard tableaux of shape lam by the branching rule:
     the largest entry sits in a corner, so it is the sum of the counts of
     lam minus each corner, memoized over the sub-diagrams (at most
-    prod(lam_i + 1)).  Diagrams of at most four cells are counted by
-    ``standard_tableaux``, which lists them."""
-    memo = {} if memo is None else memo
-    if lam not in memo:
-        if sum(lam) <= 4:
-            memo[lam] = len(standard_tableaux(lam))
-        else:  # a corner in a row of one cell is in the last row
-            corners = [i for i, x in enumerate(lam) if i + 1 == len(lam) or x > lam[i + 1]]
-            smaller = (lam[:i] + (lam[i] - 1,) * (lam[i] > 1) + lam[i + 1 :] for i in corners)
-            memo[lam] = sum(_tableau_count(mu, memo) for mu in smaller)
+    prod(lam_i + 1)), down to the empty diagram, which has one."""
+    memo = {(): 1} if memo is None else memo
+    if lam not in memo:  # a corner in a row of one cell is in the last row
+        corners = [i for i, x in enumerate(lam) if i + 1 == len(lam) or x > lam[i + 1]]
+        smaller = (lam[:i] + (lam[i] - 1,) * (lam[i] > 1) + lam[i + 1 :] for i in corners)
+        memo[lam] = sum(_tableau_count(mu, memo) for mu in smaller)
     return memo[lam]
 
 

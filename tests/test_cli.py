@@ -459,15 +459,17 @@ def test_report_builds_each_module_once_per_call(monkeypatch):
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
     assert full_report(3, 7)[2]
     # each stage keeps its homology generators: 10 distinct (stage, generator,
-    # degree), where building them on every trace took 20; and a profile's
-    # transitions share their stages: 104, where building them per transition took 108
+    # degree) of the report's modules, where building them on every trace took
+    # 20, and 1 of a derivative; a profile's transitions share their stages:
+    # 104 stages of the report's modules, where building them per transition
+    # took 108, and 70 more of the derivatives the shift cells scan
     assert counts == {
-        "representable": 13, "free_module": 5, "CubeStage": 104, "action_matrix": 10
+        "representable": 13, "free_module": 5, "CubeStage": 174, "action_matrix": 11
     }
     # a second call starts cold: no module or stage outlives the first
     assert full_report(3, 7)[2]
     assert counts == {
-        "representable": 26, "free_module": 10, "CubeStage": 208, "action_matrix": 20
+        "representable": 26, "free_module": 10, "CubeStage": 348, "action_matrix": 22
     }
 
 

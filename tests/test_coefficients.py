@@ -36,6 +36,7 @@ from ficalc.fimod import (
     coefficient_transition,
     delta_coefficient_shift_check,
     delta_complex,
+    derivative,
     free_module,
     representable,
     save_module,
@@ -390,12 +391,14 @@ def test_induced_blocks_are_memoized_and_left_as_built():
             assert [d.columns for d in warm.differentials] == [d.columns for d in cold.differentials]
 
 
-_SCALARS = (1, -1, 2, Fraction(1, 2))
+# weighted toward 1 and -1, so that orbits often close with factor 1 and the
+# quotients of k >= 3 are often nonzero
+_SCALARS = (1,) * 6 + (-1,) * 2 + (2, Fraction(1, 2))
 
 
 def _generator_shaped_columns(draw, d: int) -> list[dict]:
     """The columns of a d x d matrix: empty, a single entry with a scalar in
-    ±1, 2, 1/2, or several entries."""
+    ``_SCALARS``, or several entries."""
     rows = st.integers(0, max(d - 1, 0))
     entry = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=1, max_size=1)
     several = st.dictionaries(rows, st.sampled_from(_SCALARS), min_size=min(d, 2), max_size=3)
@@ -551,6 +554,10 @@ def test_shift_check_agrees_for_small_modules():
         (representable(1, 6), 0, 2),
         (free_module((1, 1), 6), 1, 1),
     ]
+    # every i up to the generation bound of D^n E that the window holds
+    for module in (representable(3, 9), free_module((2, 2), 9)):
+        g = module.generation_bound
+        cases += [(module, n, i) for n in (1, 2) for i in range(g - n + 1) if n + i + g < 9]
     for module, n, i in cases:
         result = delta_coefficient_shift_check(module, n, i)
         assert result.equal, (module.name, n, i)
@@ -752,9 +759,10 @@ def test_taylor_coefficient_builds_one_action_matrix_per_generator(monkeypatch):
 
 def test_shift_check_reads_what_the_separate_coefficients_read():
     module = representable(2, 8)
-    result = delta_coefficient_shift_check(module, 1, 1)
-    assert result.lhs == shifted_coefficient(representable(2, 8), 1, 1)
-    assert result.rhs_dims == taylor_coefficient(representable(2, 8), 2).dims
+    n, i = 1, 1
+    result = delta_coefficient_shift_check(module, n, i)
+    assert result.lhs == shifted_coefficient(representable(2, 8), n, i)
+    assert result.rhs_dims == taylor_coefficient(derivative(representable(2, 8)), i).dims + (0,) * n
 
 
 def test_shifted_coefficient_beyond_the_window():

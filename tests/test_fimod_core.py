@@ -13,11 +13,14 @@ from ficalc.combinat import Injection, compose, enumerate_injections, identity_i
 from ficalc.exactla import Matrix, SparseMatrix
 from ficalc.fimod import (
     FIModule,
+    NotInjectiveError,
     WindowError,
     coefficient_profile,
+    derivative,
     dumps_module,
     evaluate,
     free_module,
+    q_truncation,
     representable,
     stage_character,
     validate,
@@ -279,8 +282,10 @@ def test_injectivity_of_structure_maps():
         (lambda: free_module((2, 1), 6), 2),
         # "p/q" entries, so images of unit vectors are not all shared columns
         (lambda: rescaled(free_module((2, 1), 8), 2), 3),
+        # matrices whose columns are shared with one another
+        (lambda: derivative(representable(3, 7)), 2),
     ],
-    ids=["representable(3)", "free((2,1))", "rescaled free((2,1))"],
+    ids=["representable(3)", "free((2,1))", "rescaled free((2,1))", "derivative(representable(3))"],
 )
 def test_shared_columns_stay_read_only(build, max_index):
     """Structure maps hand out the module's own columns as images of unit
@@ -426,3 +431,91 @@ def test_validate_violations_of_modules_broken_once_are_pinned(family):
     report = validate(_broken_once(family))
     assert not report.valid
     assert report.violations == BROKEN_ONCE_VIOLATIONS[family]
+
+
+# ---------------------------------------------------------------------------
+# the derivative DE = coker(E -> SE)
+# ---------------------------------------------------------------------------
+
+
+def test_derivative_of_representable():
+    # D of the injections m -> k is m copies of the injections m-1 -> k:
+    # the cokernel keeps the injections that use the new point
+    for m in range(1, 4):
+        module = representable(m, 8)
+        text = dumps_module(module)
+        d = derivative(module)
+        assert d.dims == tuple(m * math.perm(k, m - 1) for k in range(8))
+        assert (d.max_degree, d.generation_bound) == (7, m - 1)
+        report = validate(d)
+        assert report.valid, report.violations
+        assert derivative(module) is d
+        assert dumps_module(module) == text
+    assert derivative(representable(0, 8)).dims == (0,) * 8
+
+
+def _removable_boxes(lam):
+    for i, part in enumerate(lam):
+        if i + 1 == len(lam) or part > lam[i + 1]:
+            yield lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
+
+
+def branching_mismatches(size: int, window: int) -> list:
+    """The (lam, k) with |lam| <= size and k < window at which the stage
+    character of D free(lam) differs from the sum of those of free(mu) over
+    the removable boxes mu = lam - box: the branching rule of the derivative
+    of a free module."""
+    bad = []
+    for lam in (lam for n in range(size + 1) for lam in partitions_of(n)):
+        d = derivative(free_module(lam, window))
+        summands = [free_module(mu, window - 1) for mu in _removable_boxes(lam)]
+        for k in range(window):
+            expected = [sum(v) for v in zip(*(stage_character(m, k).values for m in summands))]
+            if list(stage_character(d, k).values) != (expected or [0] * len(partitions_of(k))):
+                bad.append((lam, k))
+    return bad
+
+
+def test_derivative_of_free_modules_follows_the_branching_rule():
+    assert branching_mismatches(4, 8) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: representable(1, 7),
+        lambda: representable(2, 7),
+        lambda: representable(3, 7),
+        lambda: free_module((2, 1), 7),
+        lambda: free_module((1, 1, 1), 7),
+    ],
+    ids=["representable(1)", "representable(2)", "representable(3)", "free((2,1))", "free((1,1,1))"],
+)
+def test_derivative_is_generated_one_degree_lower(build):
+    module = build()
+    d = derivative(module)
+    assert d.generation_bound == module.generation_bound - 1
+    for k in range(d.max_degree + 1):
+        assert q_truncation(d, module.generation_bound - 1, k).is_isomorphism, k
+
+
+def test_derivative_refuses_a_map_that_is_not_injective():
+    # the trivial representation in every degree with zero inclusions: a
+    # valid module whose map E(0) -> E(1) into the shift is zero
+    one = SparseMatrix.identity(1)
+    module = FIModule(
+        "trivial with zero inclusions",
+        3,
+        0,
+        (1, 1, 1, 1),
+        [[one] * max(k - 1, 0) for k in range(4)],
+        [SparseMatrix(1, 1)] * 3,
+    )
+    assert validate(module).valid
+    with pytest.raises(NotInjectiveError, match="degree 0 into the shift is not injective"):
+        derivative(module)
+
+
+def test_derivative_of_a_window_0_module_is_refused():
+    with pytest.raises(WindowError, match="needs degree 1 > window 0"):
+        derivative(representable(0, 0))

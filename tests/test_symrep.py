@@ -597,7 +597,7 @@ def test_specht_dimension_beyond_listing_scale():
 
 
 def test_hook_formula_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(symrep, "standard_tableaux", lambda lam: [])
+    monkeypatch.setattr(symrep, "_tableau_count", lambda lam: 0)
     with pytest.raises(CrossCheckError, match="tableau count"):
         specht_dimension((2, 1))
 
