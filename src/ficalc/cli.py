@@ -621,7 +621,7 @@ def report_sections(n_max: int, k_max: int):
     The scale decides which cells are listed and what they check: a cell whose
     modules the scale's windows cannot hold is left out.  The cells of one
     ``_DICTIONARY_MODULES`` recipe share one module, built on first use, so
-    they share its per-module caches; nothing is shared between calls.
+    they share its memo; nothing is shared between calls.
     """
     window = min(8, k_max)
     modules = [

@@ -45,14 +45,15 @@ sum of the identity from stage k to k + 1 (its one term is the standard
 inclusion n+k -> n+k+1), is an isomorphism on degree-0 homology.  The
 later stage is the witness, and the scan (``_stable_stage``) returns it as a
 ``CubeStage``; a coefficient's dims and characters are read off that stage.
-The witness is memoized per module, next to its coinvariant quotients, so
-each module scans each cube once: ``taylor_coefficient``, the profile (and
-its transitions at that stage) and the left side of every shift check share
-one witness.  The stages scanned before a witness are not kept, and a cube
-that does not stabilize is scanned again on every call.  The stages that
-transitions build are memoized in the same cache, so consecutive transitions
-of a profile, and later transitions of the module, share the stages they
-have in common.
+The witness is kept in the module's memo (``FIModule.memo``), with its
+quotients and blocks, so each module scans each cube once:
+``taylor_coefficient``, the profile (and its transitions at that stage) and
+the left side of every shift check share one witness.  The stages scanned
+before a witness are not kept, and a cube that does not stabilize is scanned
+again on every call.  The stages that transitions build are kept in the same
+memo, so consecutive transitions of a profile, and later transitions of the
+module, share the stages they have in common.  No stage refers to its
+module: what applies the module's structure maps to a stage takes the module.
 Characters walk the class tree of ``action_character`` over the homology
 matrices of adjacent transpositions of cube coordinates, which each stage
 builds on first use and keeps (``CubeStage.homology_generator``), so a degree
@@ -61,11 +62,10 @@ without homology none.
 ``delta_coefficient_shift_check`` compares two independent computations of
 the shift theorem: ``shifted_coefficient`` on the (n+i)-cube of the module,
 and ``taylor_coefficient`` of index i of its n-th ``core.derivative``, a
-module of its own with its own cache.
+module of its own with its own memo.
 ``_cube_complex`` is also the one place that refuses a stage outside the window.
-The same per-module cache holds each stage character of the module itself
-(``dictionary.stage_character``) under ("character", k), one
-``ClassFunction`` per stage read.
+The same memo holds each stage character of the module itself
+(``dictionary.stage_character``), one ``ClassFunction`` per stage read.
 """
 
 from __future__ import annotations
@@ -243,17 +243,10 @@ def _ratio(p, q):
 
 
 def _quotient(module: FIModule, s: int, k: int) -> CoinvariantQuotient:
-    """The memoized quotient of (s, k).  Missing parents, (s+1, k-1) down to
-    the first one memoized or the identity at k < 2, are built first, from
-    the bottom up, so no build waits on another."""
-    cache = module._coinv_cache
-    chain = [(s, k)]
-    while chain[-1] not in cache and chain[-1][1] >= 2:
-        chain.append((chain[-1][0] + 1, chain[-1][1] - 1))
-    for key in reversed(chain):
-        if key not in cache:
-            cache[key] = CoinvariantQuotient(module, *key)
-    return cache[s, k]
+    """The quotient of (s, k), kept under ("quotient", s, k) in the module's
+    memo.  Building it asks for its parent and grandparent, so the missing
+    ones are built first, by a recursion at most k deep."""
+    return module.memo(("quotient", s, k), lambda: CoinvariantQuotient(module, s, k))
 
 
 def _insertion(subset: tuple[int, ...], x: int, k: int) -> Injection:
@@ -275,14 +268,13 @@ def _induced(module: FIModule, f: Injection, src, tgt) -> tuple[dict, ...]:
     the quotient ``tgt`` of E(f.target_size): the free basis vectors of
     ``src`` mapped together, each image projected into a vector of its own.
     Every quotient-level block is built here, once per module: the block is
-    memoized under (f, src, tgt) in the module's cache and shared by every
-    caller, so its columns are only read."""
-    key = (f, src, tgt)
-    block = module._coinv_cache.get(key)
-    if block is None:
-        images = module.apply_injection(f, [{b: 1} for b in src.free])
-        block = module._coinv_cache[key] = tuple(map(tgt.project, images))
-    return block
+    kept under ("block", f, src, tgt) in the module's memo and shared by
+    every caller, so its columns are only read."""
+
+    def build():
+        return tuple(map(tgt.project, module.apply_injection(f, [{b: 1} for b in src.free])))
+
+    return module.memo(("block", f, src, tgt), build)
 
 
 def _cube_complex(module: FIModule, cube: int, k: int, quotient):
@@ -318,13 +310,13 @@ def _cube_complex(module: FIModule, cube: int, k: int, quotient):
 
 
 class CubeStage:
-    """The stage-k coinvariant cube complex of a module, with its homology."""
+    """The stage-k coinvariant cube complex of a module, with its homology;
+    the methods that apply the module's structure maps take the module."""
 
     def __init__(self, module: FIModule, cube: int, k: int):
         self.summands, self.offsets, self.complex = _cube_complex(
             module, cube, k, lambda s: _quotient(module, s, k)
         )
-        self.module = module
         self.cube = cube
         self.k = k
         # filled only now: ``_quotient`` needs the window check done first
@@ -339,7 +331,7 @@ class CubeStage:
         self._generators: dict[tuple[int, int], SparseMatrix] = {}
 
     # -- symmetric-group action on the cube coordinates ------------------
-    def action_matrix(self, perm: tuple[int, ...], degree: int) -> SparseMatrix:
+    def action_matrix(self, module: FIModule, perm: tuple[int, ...], degree: int) -> SparseMatrix:
         """Matrix of the cube-coordinate permutation on the degree-th term."""
         if len(perm) != self.cube:
             raise ValueError("permutation must act on the cube coordinates")
@@ -354,20 +346,20 @@ class CubeStage:
             )
             src_off = self.offsets[degree][subset]
             tgt_off = self.offsets[degree][image]
-            block = _induced(self.module, Injection(s + self.k, s + self.k, values), q, q)
+            block = _induced(module, Injection(s + self.k, s + self.k, values), q, q)
             for local, col in enumerate(block):
                 act.columns[src_off + local] = {tgt_off + li: sign * v for li, v in col.items()}
         return act
 
-    def homology_generator(self, i: int, degree: int) -> SparseMatrix:
+    def homology_generator(self, module: FIModule, i: int, degree: int) -> SparseMatrix:
         """Homology matrix in ``degree`` of the adjacent transposition t_i of
         the cube coordinates, built on first use and kept."""
         if (i, degree) not in self._generators:
-            act = self.action_matrix(permutation_from_word([i], self.cube), degree)
+            act = self.action_matrix(module, permutation_from_word([i], self.cube), degree)
             self._generators[i, degree] = _homology_map(act, self, self, degree)
         return self._generators[i, degree]
 
-    def homology_trace(self, degree: int, start: int, size: int) -> ClassFunction:
+    def homology_trace(self, module: FIModule, degree: int, start: int, size: int) -> ClassFunction:
         """Character of S_size permuting the cube coordinates start ..
         start+size-1 on degree-``degree`` homology: ``action_character`` over
         the kept homology generators t_{start+1} .. t_{start+size-1}, each
@@ -376,7 +368,7 @@ class CubeStage:
         generators are built only when the degree has homology."""
         dim = self.homology.dims()[degree]
         steps = range(1, size) if dim else ()
-        generators = {g: self.homology_generator(start + g, degree) for g in steps}
+        generators = {g: self.homology_generator(module, start + g, degree) for g in steps}
         return action_character(size, dim, lambda g, vecs: generators[g].apply_columns(vecs))
 
 
@@ -412,11 +404,11 @@ def _stage_map(module: FIModule, f: Injection, src: CubeStage, tgt: CubeStage) -
     return SparseMatrix(tgt_q.dim, src_q.dim, columns)
 
 
-def _stabilization(stage: CubeStage, nxt: CubeStage) -> SparseMatrix:
+def _stabilization(module: FIModule, stage: CubeStage, nxt: CubeStage) -> SparseMatrix:
     """Homology matrix on degree 0 of the stabilization from ``stage`` to
     the next stage ``nxt`` of the same cube: the extension sum of the identity."""
     identity = standard_inclusion(stage.cube, stage.cube)
-    return _homology_map(_stage_map(stage.module, identity, stage, nxt), stage, nxt)
+    return _homology_map(_stage_map(module, identity, stage, nxt), stage, nxt)
 
 
 @dataclass(frozen=True)
@@ -439,24 +431,25 @@ class GradedCoefficient:
 def _stable_stage(module: FIModule, cube: int) -> CubeStage:
     """The witness stage of the cube: stages are scanned from the generation
     bound up, and the later of the first two consecutive stages that
-    stabilize is returned.  The witness is memoized in the module's cache,
-    so every later call for the cube returns the same stage; no other stage
-    is kept.  Raises ``NotStabilizedError`` with the homology dims of every
-    stage built when the window runs out first, and scans again on the next
-    call."""
-    key = ("witness", cube)
-    if key in module._coinv_cache:
-        return module._coinv_cache[key]
+    stabilize is returned.  The scan is kept under ("witness", cube) in the
+    module's memo, so every later call for the cube returns the same stage,
+    and its witness under ("stage", cube, k), where ``_stage`` finds it; no
+    other stage is kept.  Raises ``NotStabilizedError`` with the homology
+    dims of every stage built when the window runs out first, and scans
+    again on the next call."""
+    return module.memo(("witness", cube), lambda: _scan(module, cube))
+
+
+def _scan(module: FIModule, cube: int) -> CubeStage:
     stage = CubeStage(module, cube, module.generation_bound)
     trajectory = [{"stage": stage.k, "dims": stage.homology.dims()}]
     while cube + stage.k < module.max_degree:
         nxt = CubeStage(module, cube, stage.k + 1)
         dims = nxt.homology.dims()
         if stage.homology.dims() == dims and (
-            not dims[0] or rank(_stabilization(stage, nxt)) == dims[0]
+            not dims[0] or rank(_stabilization(module, stage, nxt)) == dims[0]
         ):
-            module._coinv_cache[key] = nxt
-            return nxt
+            return module.memo(("stage", cube, nxt.k), lambda: nxt)
         trajectory.append({"stage": nxt.k, "dims": dims})
         stage = nxt
     raise NotStabilizedError(
@@ -466,11 +459,14 @@ def _stable_stage(module: FIModule, cube: int) -> CubeStage:
     )
 
 
-def _coefficient(stage: CubeStage, action_start: int, action_size: int) -> GradedCoefficient:
-    """The coefficient read off a witness stage, with the characters of the
-    symmetric group on the cube coordinates from ``action_start`` on."""
+def _coefficient(
+    module: FIModule, stage: CubeStage, action_start: int, action_size: int
+) -> GradedCoefficient:
+    """The coefficient read off a witness stage of the module, with the
+    characters of the symmetric group on the cube coordinates from
+    ``action_start`` on."""
     characters = tuple(
-        stage.homology_trace(degree, action_start, action_size)
+        stage.homology_trace(module, degree, action_start, action_size)
         for degree in range(stage.cube + 1)
     )
     return GradedCoefficient(stage.cube, action_size, stage.homology.dims(), characters, stage.k)
@@ -481,7 +477,7 @@ def taylor_coefficient(module: FIModule, n: int) -> GradedCoefficient:
     symmetric-group character in every homological degree."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
-    return _coefficient(_stable_stage(module, n), 0, n)
+    return _coefficient(module, _stable_stage(module, n), 0, n)
 
 
 def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
@@ -490,7 +486,7 @@ def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
     for name, value in (("difference order n", n), ("coefficient index i", i)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    return _coefficient(_stable_stage(module, n + i), n, i)
+    return _coefficient(module, _stable_stage(module, n + i), n, i)
 
 
 @dataclass(frozen=True)
@@ -526,15 +522,9 @@ def delta_coefficient_shift_check(module: FIModule, n: int, i: int) -> ShiftChec
 
 
 def _stage(module: FIModule, cube: int, k: int) -> CubeStage:
-    """Stage k of the cube: the memoized witness when it is that stage, else
-    the stage memoized under ("stage", cube, k), built on first use."""
-    witness = module._coinv_cache.get(("witness", cube))
-    if witness is not None and witness.k == k:
-        return witness
-    key = ("stage", cube, k)
-    if key not in module._coinv_cache:
-        module._coinv_cache[key] = CubeStage(module, cube, k)
-    return module._coinv_cache[key]
+    """Stage k of the cube, kept under ("stage", cube, k) in the module's
+    memo: the witness when it is that stage, else built on first use."""
+    return module.memo(("stage", cube, k), lambda: CubeStage(module, cube, k))
 
 
 def _transition_at_stage(module: FIModule, f: Injection, k: int):
@@ -563,8 +553,8 @@ def coefficient_transition(module: FIModule, f: Injection, k: int) -> SparseMatr
     src, tgt, mat = _transition_at_stage(module, f, k)
     if f.target_size + k + 1 <= module.max_degree:
         src_next, tgt_next, mat_next = _transition_at_stage(module, f, k + 1)
-        s_src = _stabilization(src, src_next)
-        s_tgt = _stabilization(tgt, tgt_next)
+        s_src = _stabilization(module, src, src_next)
+        s_tgt = _stabilization(module, tgt, tgt_next)
         if mat_next.compose(s_src).columns != s_tgt.compose(mat).columns:
             raise InstabilityError(
                 "transition matrices at consecutive stages disagree under the "

@@ -12,6 +12,13 @@ transpositions on it, laid out by one assembler, ``_assemble``; its
 inclusions send each basis element to itself.  Matrices are kept
 column-sparse, and all downstream pipelines only ever apply them to lists of
 sparse vectors, one generator matrix at a time over the whole list.
+
+A module keeps all it derives in one memo, ``FIModule.memo``, under keys
+whose first item names what they hold: ("word", perm), ("factor", f),
+("derivative",) here, and ("quotient", s, k), ("block", f, src, tgt),
+("stage", cube, k), ("witness", cube) and ("character", k) in
+``coefficients`` and ``dictionary``.  Nothing kept there refers to the
+module, so reference counting frees a dropped module at once.
 """
 
 from __future__ import annotations
@@ -91,12 +98,19 @@ class FIModule:
         for k, inc in enumerate(self.inclusions):
             if (inc.rows, inc.cols) != (self.dims[k + 1], self.dims[k]):
                 raise ValueError(f"inclusions[{k}] must be {self.dims[k + 1]}x{self.dims[k]}")
-        self._word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._factor_cache: dict[Injection, tuple[int, ...]] = {}
-        # (s, k) -> CoinvariantQuotient; ("witness", cube), ("stage", cube, k) -> CubeStage;
-        # (injection, source quotient, target quotient) -> induced block;
-        # ("character", k) -> stage character; ("derivative",) -> ``derivative``
-        self._coinv_cache: dict = {}
+        # all derived from the module, under tagged keys: read only through ``memo``
+        self._memo: dict = {}
+
+    def memo(self, key: tuple, build):
+        """The value kept under ``key``, from ``build()`` on the first call;
+        a build that raises keeps nothing.  The key's first item names what
+        it holds (see the module docstring), and the value must not refer to
+        the module."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- evaluation ------------------------------------------------------
     def dim(self, k: int) -> int:
@@ -120,13 +134,6 @@ class FIModule:
             raise WindowError(f"no inclusion from degree {k} inside window")
         return self.inclusions[k]
 
-    def _word(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        w = self._word_cache.get(perm)
-        if w is None:
-            w = tuple(word_from_permutation(perm))
-            self._word_cache[perm] = w
-        return w
-
     def apply_permutation(self, k: int, perm: tuple[int, ...], vecs: list[dict]) -> list[dict]:
         """Apply E(perm) at degree k to a list of sparse vectors, one
         generator matrix at a time over all of them.  The images may share
@@ -137,7 +144,7 @@ class FIModule:
             raise ValueError("permutation degree mismatch")
         gens = self.transpositions[k]
         # E(s_{w1}) ... E(s_{wm}) applied right factor first
-        for i in reversed(self._word(perm)):
+        for i in reversed(self.memo(("word", perm), lambda: tuple(word_from_permutation(perm)))):
             vecs = gens[i - 1].apply_columns(vecs)
         return vecs
 
@@ -146,10 +153,7 @@ class FIModule:
         As for ``apply_permutation``, the images are for reading only."""
         self._check_degree(f.source_size)
         self._check_degree(f.target_size)
-        sigma = self._factor_cache.get(f)
-        if sigma is None:
-            sigma = factor_injection(f)[0].values
-            self._factor_cache[f] = sigma
+        sigma = self.memo(("factor", f), lambda: factor_injection(f)[0].values)
         for j in range(f.source_size, f.target_size):
             vecs = self.inclusions[j].apply_columns(vecs)
         return self.apply_permutation(f.target_size, sigma, vecs)
@@ -232,7 +236,8 @@ def zero_module(max_degree: int) -> FIModule:
 
 def derivative(module: FIModule) -> FIModule:
     """The derivative DE = coker(E -> SE) (Church-Ellenberg-Farb), on the
-    window 0..K-1, generated in degree one below E's; built once per module.
+    window 0..K-1, generated in degree one below E's; built once per module
+    and kept under ("derivative",) in its memo.
 
     The shift (SE)(k) is E(k+1) with a new point at 0: its generators are
     s_2 .. s_k of E(k+1), its inclusions E's from k+1, and E -> SE is E(iota)
@@ -244,9 +249,10 @@ def derivative(module: FIModule) -> FIModule:
     ``WindowError`` and a degree where E(iota) is not injective, read off
     dim coker = d_{k+1} - d_k, ``NotInjectiveError``.
     """
-    key = ("derivative",)
-    if key in module._coinv_cache:
-        return module._coinv_cache[key]
+    return module.memo(("derivative",), lambda: _derivative(module))
+
+
+def _derivative(module: FIModule) -> FIModule:
     if not module.max_degree:
         raise WindowError(f"the derivative of {module.name} needs degree 1 > window 0")
     projections, complements = [], []
@@ -265,7 +271,7 @@ def derivative(module: FIModule) -> FIModule:
         return out
 
     top = module.max_degree - 1
-    module._coinv_cache[key] = FIModule(
+    return FIModule(
         f"derivative({module.name})",
         top,
         max(module.generation_bound - 1, 0),
@@ -273,7 +279,6 @@ def derivative(module: FIModule) -> FIModule:
         [[restrict(k, g, k) for g in module.transpositions[k + 1][1:]] for k in range(top + 1)],
         [restrict(k, module.inclusions[k + 1], k + 1) for k in range(top)],
     )
-    return module._coinv_cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,16 @@ def stage_character(module: FIModule, k: int) -> ClassFunction:
     class.  Those images may share the module's columns and are only read.
     The values are the character only when the generator matrices satisfy
     the Coxeter relations (``validate``).  Each stage's character is computed
-    once per module: it is memoized under ("character", k) in the module's
-    cache, next to its coinvariant quotients, so the dictionary, shift and
-    stability checks of one module share it."""
-    key = ("character", k)
-    character = module._coinv_cache.get(key)
-    if character is None:
+    once per module: it is kept under ("character", k) in the module's memo,
+    so the dictionary, shift and stability checks of one module share it."""
+
+    def build():
         swaps = {g: permutation_from_word([g], k) for g in range(1, k)}
-        character = module._coinv_cache[key] = action_character(
+        return action_character(
             k, module.dim(k), lambda g, vecs: module.apply_permutation(k, swaps[g], vecs)
         )
-    return character
+
+    return module.memo(("character", k), build)
 
 
 def stable_decomposition(module: FIModule, k: int) -> RepDecomposition:

@@ -80,18 +80,15 @@ def order_complex(poset: PartialBijectionPoset) -> OrderComplex:
     upsets = [sorted(s) for s in above]
 
     chains: list[list[tuple[int, ...]]] = [[(v,) for v in range(count)]]
-
-    def grow(chain: tuple[int, ...]) -> None:
+    stack = list(chains[0])
+    while stack:
+        chain = stack.pop()
         for nxt in upsets[chain[-1]]:
             extended = chain + (nxt,)
-            depth = len(extended) - 1
-            while len(chains) <= depth:
+            if len(chains) < len(extended):
                 chains.append([])
-            chains[depth].append(tuple(sorted(extended)))
-            grow(extended)
-
-    for v in range(count):
-        grow((v,))
+            chains[len(extended) - 1].append(tuple(sorted(extended)))
+            stack.append(extended)
     return OrderComplex(count, tuple(tuple(sorted(batch)) for batch in chains))
 
 

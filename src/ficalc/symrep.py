@@ -47,16 +47,16 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    return tuple(_partitions(n, n))
 
-    def gen(m: int, maxp: int):
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, maxp), 0, -1):
-            for rest in gen(m - first, first):
-                yield (first,) + rest
 
-    return tuple(gen(n, n))
+def _partitions(m: int, largest: int):
+    """The partitions of m with parts at most ``largest``, in reverse-lexicographic order."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
 
 
 def class_size(cycle_type: Partition) -> int:
@@ -141,16 +141,17 @@ def action_character(n: int, dim: int, act) -> ClassFunction:
     """
     words, children = _class_tree(n)
     traces = dict.fromkeys(words, 0)
-    zeros = itertools.repeat(0)
-
-    def walk(word, images):
-        traces[word] = sum(map(dict.get, images, range(dim), zeros))
-        for child in children.get(word, ()):
-            walk(child, act(child[-1], images))
-
     if dim:  # an empty space has the zero character and calls no ``act``
-        walk((), [{b: 1} for b in range(dim)])
+        _walk((), [{b: 1} for b in range(dim)], children, act, traces)
     return ClassFunction(n, tuple(traces[word] for word in words))
+
+
+def _walk(word, images, children, act, traces) -> None:
+    """Record the trace of ``images``, the basis under ``word``, and walk
+    the subtree of ``word`` in ``children``, one ``act`` per child."""
+    traces[word] = sum(map(dict.get, images, range(len(images)), itertools.repeat(0)))
+    for child in children.get(word, ()):
+        _walk(child, act(child[-1], images), children, act, traces)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -198,21 +199,22 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
 def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """All standard Young tableaux of the given shape, entries 1..n, sorted."""
     lam = check_partition(lam)
-    n = sum(lam)
+    return sorted(_tableaux(lam, sum(lam)))
 
-    def build(shape: Partition, n: int):
-        if n == 0:
-            yield tuple(() for _ in shape) if shape else ()
-            return
-        for i in range(len(shape)):
-            if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
-                smaller = tuple(x for x in shape[:i] + (shape[i] - 1,) + shape[i + 1 :])
-                for t in build(smaller, n - 1):
-                    rows = [tuple(t[r]) if r < len(t) else () for r in range(len(shape))]
-                    rows[i] = rows[i] + (n,)
-                    yield tuple(rows)
 
-    return sorted(build(lam, n))
+def _tableaux(shape: Partition, n: int):
+    """The standard tableaux of ``shape``, whose n cells are entries 1..n,
+    with n placed in each corner in turn."""
+    if n == 0:
+        yield tuple(() for _ in shape) if shape else ()
+        return
+    for i in range(len(shape)):
+        if shape[i] and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
+            smaller = shape[:i] + (shape[i] - 1,) + shape[i + 1 :]
+            for t in _tableaux(smaller, n - 1):
+                rows = [tuple(t[r]) if r < len(t) else () for r in range(len(shape))]
+                rows[i] = rows[i] + (n,)
+                yield tuple(rows)
 
 
 def _tableau_count(lam: Partition, memo: dict | None = None) -> int:
@@ -254,32 +256,31 @@ def _ssyt_count(lam: Partition, content: tuple[int, ...]) -> int:
     rows = len(lam)
     if rows == 0:
         return 1 if not content else 0
-    remaining = list(content)
-    tableau = [[0] * lam[i] for i in range(rows)]
-
     cells = [(i, j) for i in range(rows) for j in range(lam[i])]
+    return _fill(cells, 0, [[0] * lam[i] for i in range(rows)], list(content))
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        total = 0
-        lo = 1
-        if j > 0:
-            lo = max(lo, tableau[i][j - 1])  # weak increase along rows
-        if i > 0:
-            lo = max(lo, tableau[i - 1][j] + 1)  # strict increase down columns
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            tableau[i][j] = v
-            total += fill(idx + 1)
-            remaining[v - 1] += 1
-        tableau[i][j] = 0
-        return total
 
-    return fill(0)
+def _fill(cells, idx: int, tableau, remaining) -> int:
+    """The ways to fill ``cells[idx:]`` of ``tableau``, in order, with the
+    entries ``remaining`` counts, keeping it semistandard."""
+    if idx == len(cells):
+        return 1
+    i, j = cells[idx]
+    total = 0
+    lo = 1
+    if j > 0:
+        lo = max(lo, tableau[i][j - 1])  # weak increase along rows
+    if i > 0:
+        lo = max(lo, tableau[i - 1][j] + 1)  # strict increase down columns
+    for v in range(lo, len(remaining) + 1):
+        if remaining[v - 1] == 0:
+            continue
+        remaining[v - 1] -= 1
+        tableau[i][j] = v
+        total += _fill(cells, idx + 1, tableau, remaining)
+        remaining[v - 1] += 1
+    tableau[i][j] = 0
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,24 +365,25 @@ def young_permutation_character(mu: Partition) -> ClassFunction:
     """Character of the permutation module on ordered set partitions of content mu."""
     mu = check_partition(mu)
     n = sum(mu)
+    return ClassFunction(n, tuple(_placements(ct, mu, {}) for ct in partitions_of(n)))
 
-    def fixed(cycle_type: Partition) -> int:
-        cycles = list(cycle_type)
 
-        @functools.lru_cache(maxsize=None)
-        def count(idx: int, caps: tuple[int, ...]) -> int:
-            if idx == len(cycles):
-                return 1 if all(c == 0 for c in caps) else 0
-            c = cycles[idx]
-            total = 0
-            for b in range(len(caps)):
-                if caps[b] >= c:
-                    total += count(idx + 1, caps[:b] + (caps[b] - c,) + caps[b + 1 :])
-            return total
-
-        return count(0, mu)
-
-    return ClassFunction(n, tuple(fixed(ct) for ct in partitions_of(n)))
+def _placements(cycles: Partition, caps: tuple[int, ...], memo: dict) -> int:
+    """The ways to put each of the ``cycles`` into a block with room for it
+    that fill every block exactly, the blocks holding ``caps`` points:
+    the ordered set partitions a permutation of that cycle type fixes.
+    Memoized over the caps left for each number of cycles left."""
+    if not cycles:
+        return 1 if all(c == 0 for c in caps) else 0
+    key = (len(cycles), caps)
+    if key not in memo:
+        c = cycles[0]
+        memo[key] = sum(
+            _placements(cycles[1:], caps[:b] + (caps[b] - c,) + caps[b + 1 :], memo)
+            for b in range(len(caps))
+            if caps[b] >= c
+        )
+    return memo[key]
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """End-to-end tests for the fi-calc command line driver."""
 
+import gc
 import hashlib
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -440,10 +442,13 @@ def test_report_bytes_are_pinned(capsys, n_max, k_max, fmt):
 
 def test_report_builds_each_module_once_per_call(monkeypatch):
     counts = {"representable": 0, "free_module": 0, "CubeStage": 0, "action_matrix": 0}
+    built = []  # a weak reference to each module
     for name in ("representable", "free_module"):
         def counted(*args, name=name, build=getattr(cli, name)):
             counts[name] += 1
-            return build(*args)
+            module = build(*args)
+            built.append(weakref.ref(module))
+            return module
 
         monkeypatch.setattr(cli, name, counted)
 
@@ -457,7 +462,13 @@ def test_report_builds_each_module_once_per_call(monkeypatch):
             return super().action_matrix(*args)
 
     monkeypatch.setattr(coefficients, "CubeStage", CountedStage)
-    assert full_report(3, 7)[2]
+    # with the cycle collector off, reference counting alone frees each module
+    gc.disable()
+    try:
+        assert full_report(3, 7)[2]
+        assert len(built) == 18 and all(ref() is None for ref in built)
+    finally:
+        gc.enable()
     # each stage keeps its homology generators: 10 distinct (stage, generator,
     # degree) of the report's modules, where building them on every trace took
     # 20, and 1 of a derivative; a profile's transitions share their stages:
