@@ -254,7 +254,7 @@ def _cmd_coefficients(args):
     dim_rows = []
     char_rows = []
     for n, coeff in enumerate(profile.coefficients):
-        classes = partitions_of(coeff.action_size)
+        classes = partitions_of(coeff.cube)
         coeff_docs.append(
             {
                 "index": n,

@@ -43,22 +43,22 @@ coefficient is declared stable when two consecutive stages have equal
 homology dimensions in every degree and the stabilization, the extension
 sum of the identity from stage k to k + 1 (its one term is the standard
 inclusion n+k -> n+k+1), is an isomorphism on degree-0 homology.  The
-later stage is the witness, and the scan (``_stable_stage``) returns it as a
-``CubeStage``; a coefficient's dims and characters are read off that stage.
-The witness is kept in the module's memo (``FIModule.memo``), with its
-quotients and blocks, so each module scans each cube once:
-``taylor_coefficient``, the profile (and its transitions at that stage) and
-the left side of every shift check share one witness.  The stages scanned
-before a witness are not kept, and a cube that does not stabilize is scanned
-again on every call.  The stages that transitions build are kept in the same
-memo, so consecutive transitions of a profile, and later transitions of the
-module, share the stages they have in common.  No stage refers to its
-module: what applies the module's structure maps to a stage takes the module.
-Characters walk the class tree of ``action_character`` over the homology
-matrices of adjacent transpositions of cube coordinates, which each stage
-builds on first use and keeps (``CubeStage.homology_generator``), so a degree
-costs at most one ``action_matrix`` per generator and stage, and a degree
-without homology none.
+later stage is the witness (``_scan``), and a coefficient's dims and
+characters are read off it.  The coefficient is kept in the module's memo
+(``FIModule.memo``), as is the witness with its quotients and blocks, so
+each module scans each cube once: ``taylor_coefficient``, the profile (and
+its transitions at that stage) and the left side of every shift check share
+one coefficient.  The stages scanned before a witness are not kept, and a
+cube that does not stabilize is scanned again on every call.  The stages
+that transitions build are kept in the same memo, so consecutive
+transitions of a profile, and later transitions of the module, share the
+stages they have in common.  No stage refers to its module: what applies
+the module's structure maps to a stage takes the module.
+Characters are those of the full symmetric group of the cube:
+``action_character`` walks its class tree over the homology matrices of the
+adjacent transpositions of cube coordinates, which ``homology_trace`` builds
+only for a degree with homology.  ``shifted_coefficient`` restricts them to
+a smaller group (``symrep.restriction``).
 ``delta_coefficient_shift_check`` compares two independent computations of
 the shift theorem: ``shifted_coefficient`` on the (n+i)-cube of the module,
 and ``taylor_coefficient`` of index i of its n-th ``core.derivative``, a
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..combinat import Injection, permutation_from_word, permutation_sign, standard_inclusion
@@ -85,7 +85,7 @@ from ..exactla import (
     rank,
     vec_add,
 )
-from ..symrep import ClassFunction, action_character, partitions_of
+from ..symrep import ClassFunction, action_character, partitions_of, restriction
 from .core import FIModule, InstabilityError, NotStabilizedError, WindowError, derivative
 
 
@@ -328,7 +328,6 @@ class CubeStage:
             raise ComplexInvalidError(exc.degree, msg) from None
         self.dims = self.complex.dims
         self.homology = RationalComplexHomology(self.complex)
-        self._generators: dict[tuple[int, int], SparseMatrix] = {}
 
     # -- symmetric-group action on the cube coordinates ------------------
     def action_matrix(self, module: FIModule, perm: tuple[int, ...], degree: int) -> SparseMatrix:
@@ -351,25 +350,19 @@ class CubeStage:
                 act.columns[src_off + local] = {tgt_off + li: sign * v for li, v in col.items()}
         return act
 
-    def homology_generator(self, module: FIModule, i: int, degree: int) -> SparseMatrix:
-        """Homology matrix in ``degree`` of the adjacent transposition t_i of
-        the cube coordinates, built on first use and kept."""
-        if (i, degree) not in self._generators:
-            act = self.action_matrix(module, permutation_from_word([i], self.cube), degree)
-            self._generators[i, degree] = _homology_map(act, self, self, degree)
-        return self._generators[i, degree]
-
-    def homology_trace(self, module: FIModule, degree: int, start: int, size: int) -> ClassFunction:
-        """Character of S_size permuting the cube coordinates start ..
-        start+size-1 on degree-``degree`` homology: ``action_character`` over
-        the kept homology generators t_{start+1} .. t_{start+size-1}, each
-        applied to a whole image list at once by ``apply_columns``, whose
-        images may share the generators' columns and are only read.  The
-        generators are built only when the degree has homology."""
+    def homology_trace(self, module: FIModule, degree: int) -> ClassFunction:
+        """Character of S_cube permuting the cube coordinates on
+        degree-``degree`` homology: ``action_character`` over the homology
+        matrices of the adjacent transpositions t_1 .. t_{cube-1}, one
+        ``action_matrix`` each, built only when the degree has homology.  Each
+        applies to a whole image list at once by ``apply_columns``, whose
+        images may share its columns and are only read."""
         dim = self.homology.dims()[degree]
-        steps = range(1, size) if dim else ()
-        generators = {g: self.homology_generator(module, start + g, degree) for g in steps}
-        return action_character(size, dim, lambda g, vecs: generators[g].apply_columns(vecs))
+        generators = {}
+        for g in range(1, self.cube) if dim else ():
+            act = self.action_matrix(module, permutation_from_word([g], self.cube), degree)
+            generators[g] = _homology_map(act, self, self, degree)
+        return action_character(self.cube, dim, lambda g, vecs: generators[g].apply_columns(vecs))
 
 
 def _homology_map(
@@ -416,31 +409,23 @@ class GradedCoefficient:
     """Stable coinvariant homology of a cross-effect cube.
 
     ``characters[i]`` is the character of the coordinate-permutation action
-    on degree-i homology, one per degree 0 .. ``cube``; for
-    ``shifted_coefficient`` the action group is the symmetric group of the
-    last ``action_size`` cube coordinates.
+    on degree-i homology, one per degree 0 .. ``cube``: of S_cube for
+    ``taylor_coefficient``, restricted to S_i for ``shifted_coefficient``.
     """
 
     cube: int
-    action_size: int
     dims: tuple[int, ...]
     characters: tuple[ClassFunction, ...]
     witness: int
 
 
-def _stable_stage(module: FIModule, cube: int) -> CubeStage:
+def _scan(module: FIModule, cube: int) -> CubeStage:
     """The witness stage of the cube: stages are scanned from the generation
     bound up, and the later of the first two consecutive stages that
-    stabilize is returned.  The scan is kept under ("witness", cube) in the
-    module's memo, so every later call for the cube returns the same stage,
-    and its witness under ("stage", cube, k), where ``_stage`` finds it; no
-    other stage is kept.  Raises ``NotStabilizedError`` with the homology
-    dims of every stage built when the window runs out first, and scans
-    again on the next call."""
-    return module.memo(("witness", cube), lambda: _scan(module, cube))
-
-
-def _scan(module: FIModule, cube: int) -> CubeStage:
+    stabilize is returned and kept under ("stage", cube, k) in the module's
+    memo, where ``_stage`` finds it; no other stage is kept.  Raises
+    ``NotStabilizedError`` with the homology dims of every stage built when
+    the window runs out first."""
     stage = CubeStage(module, cube, module.generation_bound)
     trajectory = [{"stage": stage.k, "dims": stage.homology.dims()}]
     while cube + stage.k < module.max_degree:
@@ -459,40 +444,40 @@ def _scan(module: FIModule, cube: int) -> CubeStage:
     )
 
 
-def _coefficient(
-    module: FIModule, stage: CubeStage, action_start: int, action_size: int
-) -> GradedCoefficient:
-    """The coefficient read off a witness stage of the module, with the
-    characters of the symmetric group on the cube coordinates from
-    ``action_start`` on."""
-    characters = tuple(
-        stage.homology_trace(module, degree, action_start, action_size)
-        for degree in range(stage.cube + 1)
-    )
-    return GradedCoefficient(stage.cube, action_size, stage.homology.dims(), characters, stage.k)
-
-
 def taylor_coefficient(module: FIModule, n: int) -> GradedCoefficient:
     """The n-th coefficient: stable coinvariant cube homology with its
-    symmetric-group character in every homological degree."""
+    S_n-character in every homological degree, read off the witness stage.
+    It is kept under ("coefficient", n) in the module's memo, so each module
+    scans each cube once; a cube that does not stabilize keeps nothing and
+    is scanned again on the next call."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
-    return _coefficient(module, _stable_stage(module, n), 0, n)
+
+    def build():
+        stage = _scan(module, n)
+        characters = tuple(stage.homology_trace(module, d) for d in range(n + 1))
+        return GradedCoefficient(n, stage.homology.dims(), characters, stage.k)
+
+    return module.memo(("coefficient", n), build)
 
 
 def shifted_coefficient(module: FIModule, n: int, i: int) -> GradedCoefficient:
-    """The i-th coefficient of the n-fold difference, acting on the last
-    i cube coordinates only."""
+    """The i-th coefficient of the n-fold difference: the (n+i)-th
+    coefficient with each character restricted to S_i.  The trace of
+    sigma in S_i on homology is that of sigma (+) id_n in S_{n+i}, so any i
+    of the cube coordinates give this restriction."""
     for name, value in (("difference order n", n), ("coefficient index i", i)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    return _coefficient(module, _stable_stage(module, n + i), n, i)
+    full = taylor_coefficient(module, n + i)
+    return replace(full, characters=tuple(restriction(chi, i) for chi in full.characters))
 
 
 @dataclass(frozen=True)
 class ShiftCheckResult:
     """The two sides of the shift theorem: ``lhs`` is the
-    ``shifted_coefficient``, and ``rhs_dims`` and ``rhs_characters`` are
+    ``shifted_coefficient``, the (n+i)-th coefficient of the module with its
+    characters restricted to S_i, and ``rhs_dims`` and ``rhs_characters`` are
     those of the i-th coefficient of the n-th derivative, with n zero
     degrees appended.  ``equal`` compares the characters in every degree."""
 

@@ -16,7 +16,7 @@ sparse vectors, one generator matrix at a time over the whole list.
 A module keeps all it derives in one memo, ``FIModule.memo``, under keys
 whose first item names what they hold: ("word", perm), ("factor", f),
 ("derivative",) here, and ("quotient", s, k), ("block", f, src, tgt),
-("stage", cube, k), ("witness", cube) and ("character", k) in
+("stage", cube, k), ("coefficient", n) and ("character", k) in
 ``coefficients`` and ``dictionary``.  Nothing kept there refers to the
 module, so reference counting frees a dropped module at once.
 """

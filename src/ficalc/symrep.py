@@ -154,6 +154,17 @@ def _walk(word, images, children, act, traces) -> None:
         _walk(child, act(child[-1], images), children, act, traces)
 
 
+def restriction(f: ClassFunction, m: int) -> ClassFunction:
+    """The restriction of a class function f of S_n to S_m, the
+    permutations of m points that fix the other n - m: its value at a cycle
+    type mu is f at mu with n - m fixed points appended."""
+    if not 0 <= m <= f.n:
+        raise ValueError(f"cannot restrict a class function of S_{f.n} to S_{m}")
+    fixed = (1,) * (f.n - m)
+    values = dict(zip(partitions_of(f.n), f.values))
+    return ClassFunction(m, tuple(values[mu + fixed] for mu in partitions_of(m)))
+
+
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Integers x_i and one d > 0 with values[i] = x_i / d, for a tuple of
     ``Fraction``s; d is the least common multiple of their denominators."""

@@ -469,11 +469,12 @@ def test_report_builds_each_module_once_per_call(monkeypatch):
         assert len(built) == 18 and all(ref() is None for ref in built)
     finally:
         gc.enable()
-    # each stage keeps its homology generators: 10 distinct (stage, generator,
-    # degree) of the report's modules, where building them on every trace took
-    # 20, and 1 of a derivative; a profile's transitions share their stages:
-    # 104 stages of the report's modules, where building them per transition
-    # took 108, and 70 more of the derivatives the shift cells scan
+    # each coefficient is kept and builds its homology generators once: 10
+    # (stage, generator, degree) of the report's modules, where building them
+    # on every trace took 20, and 1 of a derivative; a profile's transitions
+    # share their stages: 104 stages of the report's modules, where building
+    # them per transition took 108, and 70 more of the derivatives the shift
+    # cells scan
     assert counts == {
         "representable": 13, "free_module": 5, "CubeStage": 174, "action_matrix": 11
     }

@@ -51,7 +51,7 @@ from ficalc.fimod import (
 )
 from ficalc.fimod import coefficients
 from ficalc.fimod.coefficients import CoinvariantQuotient
-from ficalc.symrep import ClassFunction, decompose_class_function, partitions_of
+from ficalc.symrep import ClassFunction, decompose_class_function, partitions_of, restriction
 from test_module_io import rescaled
 
 
@@ -129,6 +129,26 @@ def test_coefficient_not_stabilized_reports_trajectory(monkeypatch):
             taylor_coefficient(module, 2)
         assert info.value.trajectory == [{"stage": 2, "dims": (1, 0, 0)}]
     assert builds == [(2, 2), (2, 2)]
+
+
+def _declared_bound_zero(window: int) -> FIModule:
+    """representable(1, window) declaring generation bound 0: its C_0 scan
+    starts at stage 0, where E(0) = 0, below the stages that agree."""
+    E = representable(1, window)
+    return FIModule("bound 0", E.max_degree, 0, E.dims, E.transpositions, E.inclusions)
+
+
+def test_scan_walks_past_a_stage_pair_that_disagrees():
+    # stage 0 has dims (0,) and stage 1 (1,); stages 1 and 2 agree
+    gc = taylor_coefficient(_declared_bound_zero(6), 0)
+    assert gc.witness == 2
+    assert gc == taylor_coefficient(representable(1, 6), 0)
+
+
+def test_scan_reports_every_stage_it_walked():
+    with pytest.raises(NotStabilizedError) as info:
+        taylor_coefficient(_declared_bound_zero(1), 0)
+    assert info.value.trajectory == [{"stage": 0, "dims": (0,)}, {"stage": 1, "dims": (1,)}]
 
 
 def _live_reducer(module, s, k) -> VectorReducer:
@@ -418,9 +438,12 @@ def _generator_shaped_modules(draw):
     """Windows of arbitrary matrices in the shape of an FIModule, except
     that the one far pair of the window, s_1 and s_3 in degree 4, commutes,
     as the orbit quotients assume: s_1 = A (x) 1 and s_3 = 1 (x) B on a
-    factorization d = a.b, in a random basis order."""
-    max_degree = draw(st.integers(1, 4))
-    dims = draw(st.lists(st.integers(0, 6), min_size=max_degree + 1, max_size=max_degree + 1))
+    factorization d = a.b, in a random basis order.  Windows 3 and 4, with
+    nonzero degrees 3 and 4, are drawn 4 times in 5: those are the windows
+    with the quotients (0, 3) and (0, 4), which build on a live parent and
+    grandparent."""
+    max_degree = draw(st.sampled_from((1, 2) + (3,) * 4 + (4,) * 4))
+    dims = [draw(st.integers(1 if k >= 3 else 0, 6)) for k in range(max_degree + 1)]
     transpositions = []
     for k, d in enumerate(dims):
         gens = [_generator_shaped_columns(draw, d) for _ in range(max(k - 1, 0))]
@@ -648,8 +671,7 @@ def test_witness_stage_is_memoized_per_module(build):
     cubes = [c for c in range(5) if c + shared.generation_bound + 1 <= WITNESS_WINDOW]
     assert cubes
     for cube in cubes:
-        stage = coefficients._stable_stage(shared, cube)
-        assert coefficients._stable_stage(shared, cube) is stage
+        assert taylor_coefficient(shared, cube) is taylor_coefficient(shared, cube)
     # every call on the shared module, memo hit or not, reads what a fresh
     # module reads
     for n in cubes:
@@ -690,7 +712,8 @@ def _assert_traces_match(module, first_stage):
             for degree, start in itertools.product(range(cube + 1), repeat=2):
                 for size in range(cube - start + 1):
                     expected = _per_class_character(module, stage, degree, start, size)
-                    assert stage.homology_trace(module, degree, start, size) == expected, (
+                    restricted = restriction(stage.homology_trace(module, degree), size)
+                    assert restricted == expected, (
                         cube, k, degree, start, size
                     )
                     decompose_class_function(expected)  # a character of S_size
@@ -762,6 +785,20 @@ def test_taylor_coefficient_builds_one_action_matrix_per_generator(monkeypatch):
     # only degree with homology (one matrix per class of S_3 would be three)
     assert gc.dims == (6, 0, 0, 0)
     assert builds == [((1, 0, 2), 0), ((0, 2, 1), 0)]
+
+
+def test_untruncated_recipes_have_coefficients_in_degree_zero_alone():
+    """Every coefficient of a representable or free module, and of its
+    derivative, up to the generation bound has no homology in positive
+    degrees, so spurious positive-degree homology fails here."""
+    recipes = [representable(m, 9) for m in range(4)] + [
+        free_module(lam, 9) for size in range(4) for lam in partitions_of(size)
+    ]
+    for E in recipes:
+        for module in (E, derivative(E)):
+            for n in range(module.generation_bound + 1):
+                dims = taylor_coefficient(module, n).dims
+                assert not any(dims[1:]), (module.name, n, dims)
 
 
 def test_shift_check_reads_what_the_separate_coefficients_read():

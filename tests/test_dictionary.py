@@ -222,7 +222,6 @@ def test_prediction_requires_degree_zero_concentration():
     marked = profile.coefficients[1]
     fake = type(marked)(
         cube=marked.cube,
-        action_size=marked.action_size,
         dims=(marked.dims[0], 1),
         characters=marked.characters,
         witness=marked.witness,

@@ -33,6 +33,7 @@ from ficalc.symrep import (
     kostka_reduction,
     pad_partition,
     partitions_of,
+    restriction,
     specht_dimension,
     specht_matrices,
     standard_tableaux,
@@ -487,6 +488,39 @@ def test_action_character_on_trivial_groups_and_spaces():
     for n in range(5):
         # the zero space: every value 0, and ``act`` is never called
         assert action_character(n, 0, never).values == (0,) * len(partitions_of(n))
+
+
+def _removed_corners(lam):
+    """The partitions lam minus one removable box."""
+    return [
+        tuple(p for p in lam[:r] + (lam[r] - 1,) + lam[r + 1:] if p)
+        for r in range(len(lam))
+        if r == len(lam) - 1 or lam[r] > lam[r + 1]
+    ]
+
+
+def test_restriction_follows_the_branching_rule():
+    """Res^{S_n}_{S_{n-1}} chi^lam is the sum of chi^mu over the mu that
+    remove one corner of lam, for every lam with |lam| <= 8."""
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            summands = [irreducible_class_function(mu).values for mu in _removed_corners(lam)]
+            expected = ClassFunction(n - 1, tuple(map(sum, zip(*summands))))
+            assert restriction(irreducible_class_function(lam), n - 1) == expected, lam
+
+
+def test_restriction_in_steps_to_the_whole_group_and_beyond():
+    """Restricting to S_m at once is restricting to S_{n-1}, which the
+    branching rule checks, and then to S_m."""
+    for n in range(7):
+        for lam in partitions_of(n):
+            f = irreducible_class_function(lam)
+            assert restriction(f, n) == f
+            for m in range(n - 1):
+                assert restriction(f, m) == restriction(restriction(f, n - 1), m), (lam, m)
+            for m in (n + 1, -1):
+                with pytest.raises(ValueError):
+                    restriction(f, m)
 
 
 def test_padding_and_weight():
